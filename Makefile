@@ -25,13 +25,13 @@ checks:
 
 # Reproducible engine-performance smoke: EXP-8 (chase/homomorphism/rewriting
 # throughput), EXP-12 (incremental vs naive trigger enumeration), EXP-13
-# (parallel engine vs sequential delta), EXP-14 (persistent delta-fed
-# workers vs per-round context pickling), EXP-15 (delta-driven restricted
+# (batched delta closure vs naive, gated on exact matcher work), EXP-14
+# (persistent delta-fed workers vs the inline engine), EXP-15 (delta-driven restricted
 # satisfaction + sharded restricted firing vs the interleaved reference)
 # EXP-16 (worker-resident satisfaction for mixed restricted rounds +
 # adaptive shard routing), EXP-17 (goal-directed answer() serving vs
-# full saturation) and EXP-18 (columnar replicas + shared-memory
-# transport vs the pipe-only persistent engine), with GC disabled during
+# full saturation) and EXP-18 (shared-memory transport vs the pipe-only
+# persistent engine), with GC disabled during
 # timing so numbers are comparable across runs.  Tables land in
 # benchmarks/results/.  The budget check then gates the freshly written
 # BENCH_exp14.json / BENCH_exp18.json byte channels against

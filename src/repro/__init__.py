@@ -22,8 +22,11 @@ Quickstart::
     report = check_property_p(rules, parse_instance("E(a,b)"), max_levels=4)
     assert report.loop_entailed  # tournaments grow, so the loop appears
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-claim-by-claim reproduction record.
+See ``src/repro/engine/README.md`` for the execution engines (registry,
+runner, persistent workers, telemetry), ``src/repro/serving/README.md``
+for the ``answer()`` front door, ``benchmarks/`` for the
+experiment-by-experiment reproduction of the paper's claims (result
+tables in ``benchmarks/results/``) and ``ROADMAP.md`` for the open items.
 """
 
 from repro.chase import (
@@ -62,7 +65,6 @@ from repro.logic import (
 from repro.queries import (
     UCQ,
     ConjunctiveQuery,
-    certain_answer,
     entails_cq,
     entails_ucq,
     injective_closure,
@@ -113,7 +115,6 @@ __all__ = [
     "answer",
     "atom",
     "body_rewrite",
-    "certain_answer",
     "chase",
     "chase_from_top",
     "check_property_p",

@@ -26,11 +26,10 @@ The ``engine`` argument selects an execution engine from the registry in
   re-match of the whole instance, and no ever-growing ``fired`` set.
 * ``"naive"`` keeps the pre-incremental full-rematch enumeration as the
   reference implementation.
-* ``"parallel"`` fans the delta enumeration out across the sharded round
-  scheduler and fires each level through the batched recording pass.
-* ``"persistent"`` is the parallel engine on persistent delta-fed process
-  workers: replicas are seeded once, each level ships only its delta, and
-  the firing pass is sharded across the pool too.
+* ``"persistent"`` fans the delta enumeration out across the sharded
+  round scheduler on persistent delta-fed process workers: replicas are
+  seeded once, each level ships only its delta, and the batched firing
+  pass is sharded across the pool too.
 
 All engines fire the same triggers in the same canonical order and
 produce bit-identical results.
@@ -109,7 +108,7 @@ def oblivious_chase(
         instead of returning the partial result.
     engine:
         A registered engine name (``"delta"``, ``"naive"``,
-        ``"parallel"``, ``"persistent"``) or an
+        ``"persistent"``) or an
         :class:`~repro.engine.config.EngineConfig`.
     trace:
         An optional :class:`~repro.obs.trace.RunTrace` that receives one

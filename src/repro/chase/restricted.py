@@ -29,9 +29,8 @@ existential keep the fully interleaved loop.  Every path is
 bit-identical to the interleaved reference.  ``engine="delta"``
 (default) enumerates new triggers semi-naively, ``engine="naive"``
 re-matches everything and subtracts the seen set, and
-``engine="parallel"`` / ``engine="persistent"`` fan the enumeration (and,
-for split rounds, the probing/firing) over the sharded scheduler — all
-fire identically.
+``engine="persistent"`` fans the enumeration (and, for split rounds, the
+probing/firing) over the sharded scheduler — all fire identically.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ post-filtered by fired frontier classes, a stateful frontier-class claim
 gate (first trigger of a class in canonical order claims it), batched and
 shardable firing — the gate is independent of the growing instance, so
 levels fire through the batched recording pass and fan out across sharding
-backends.  All engines (``delta``/``naive``/``parallel``/``persistent``)
+backends.  All engines (``delta``/``naive``/``persistent``)
 fire in the same canonical order and produce bit-identical results.
 """
 

@@ -197,7 +197,7 @@ def new_triggers_of(
     Deterministic: rules in rule-set order, then triggers of each rule
     sorted by their body-variable image.  The chase engines rely on this
     canonical order being *independent of how the triggers were found*, so
-    the delta, naive and parallel engines fire in the same order and
+    the delta, naive and persistent engines fire in the same order and
     produce bit-identical results.
     """
     delta_inst = as_delta_instance(delta)

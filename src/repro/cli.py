@@ -67,10 +67,8 @@ def _format_engine_listing() -> str:
     lines = []
     for config in registered_engines():
         knobs = f"mode={config.mode}"
-        if config.is_parallel:
-            knobs += f", workers={config.workers}"
         if config.is_persistent:
-            knobs += ", telemetry=transport"
+            knobs += f", workers={config.workers}, telemetry=transport"
         lines.append(f"  {config.name:<12} [{knobs}] {config.description}")
     lines.append(
         "  (telemetry=transport: rounds cross the worker-pool wire, so "
@@ -97,6 +95,21 @@ def _flatten_counters(snapshot: dict, prefix: str = "") -> list[tuple]:
     return rows
 
 
+def _engine_with_workers(command: str, args):
+    """``--engine`` resolved, with ``--workers`` applied to the pool."""
+    engine = resolve_engine(args.engine)
+    if args.workers is not None:
+        if not engine.is_persistent:
+            sys.exit(
+                f"repro {command}: --workers requires a persistent-mode "
+                f"engine (got --engine {engine.name})"
+            )
+        if args.workers < 1:
+            sys.exit(f"repro {command}: --workers must be >= 1")
+        engine = engine.with_workers(args.workers)
+    return engine
+
+
 def cmd_chase(args) -> int:
     if args.list_engines:
         print("registered chase engines:")
@@ -106,16 +119,7 @@ def cmd_chase(args) -> int:
         sys.exit("repro chase: a rule file is required (or --list-engines)")
     rules = _load_rules(args.rules)
     instance = _load_instance(args.instance)
-    engine = resolve_engine(args.engine)
-    if args.workers is not None:
-        if not engine.is_parallel:
-            sys.exit(
-                "repro chase: --workers requires a parallel-mode engine "
-                f"(got --engine {engine.name})"
-            )
-        if args.workers < 1:
-            sys.exit("repro chase: --workers must be >= 1")
-        engine = engine.with_workers(args.workers)
+    engine = _engine_with_workers("chase", args)
     trace = RunTrace() if (args.trace or args.stats) else None
     result = oblivious_chase(
         instance, rules, max_levels=args.levels, max_atoms=args.max_atoms,
@@ -158,15 +162,7 @@ def cmd_answer(args) -> int:
         if args.bindings
         else ()
     )
-    engine = resolve_engine(args.engine)
-    if args.workers is not None:
-        if not engine.is_parallel:
-            sys.exit(
-                "repro answer: --workers requires a parallel-mode engine "
-                f"(got --engine {engine.name})"
-            )
-        if args.workers < 1:
-            sys.exit("repro answer: --workers must be >= 1")
+    engine = _engine_with_workers("answer", args)
     trace = RunTrace() if args.trace else None
     result = answer(
         instance,
@@ -175,7 +171,6 @@ def cmd_answer(args) -> int:
         bindings,
         strategy=args.strategy,
         engine=engine,
-        workers=args.workers,
         max_levels=args.levels,
         max_atoms=args.max_atoms,
         trace=trace,
@@ -310,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "%(default)s; see --list-engines)")
     chase_cmd.add_argument("--workers", type=int, default=None,
                            help="worker-pool size for --engine "
-                                "parallel/persistent (default: the "
-                                "engine's preset)")
+                                "persistent (default: the engine's "
+                                "preset)")
     chase_cmd.add_argument("--trace", default=None, metavar="PATH",
                            help="write a per-round telemetry trace as JSON "
                                 "Lines to PATH (one record per round: phase "
@@ -356,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "%(default)s)")
     answer_cmd.add_argument("--workers", type=int, default=None,
                             help="worker-pool size for --engine "
-                                 "parallel/persistent")
+                                 "persistent")
     answer_cmd.add_argument("--levels", type=int, default=6,
                             help="chase level budget (default: %(default)s)")
     answer_cmd.add_argument("--max-atoms", type=int, default=100_000)

@@ -160,7 +160,7 @@ def fire_round(
         The restricted chase's mixed/existential-free rounds: claims are
         the satisfaction gate itself, resolved lazily per trigger inside
         one ``record_round`` pass (``_split_round_stream``), with the
-        existential remainder interleaved in place.  On a replica backend
+        existential remainder interleaved in place.  On a worker pool
         the existential-free triggers' instantiation and round-start
         satisfaction probes fan out across the pool first
         (:meth:`RoundScheduler.fire_split_round
@@ -168,8 +168,8 @@ def fire_round(
         ``claim`` is ignored — the split gate owns claiming.
     scheduler:
         An optional :class:`~repro.engine.scheduler.RoundScheduler`.  When
-        its backend shards firing (persistent workers, or a legacy process
-        pool) and the round is not interleaved, head instantiation fans
+        it has a worker pool to fan out to and the round is not
+        interleaved, head instantiation fans
         out across the pool via :meth:`RoundScheduler.fire_round
         <repro.engine.scheduler.RoundScheduler.fire_round>` — same claims
         (in budget-safe chunks, so stateful claims stay lazy and

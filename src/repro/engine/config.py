@@ -10,25 +10,22 @@ point resolves its argument through :func:`resolve_engine`, which raises a
 Built-in engines
 ----------------
 ``delta``
-    Sequential semi-naive enumeration (the default of every chase
-    variant): each round only matches rule bodies pivoted on the previous
-    round's delta.
+    Inline semi-naive evaluation (the default everywhere): each round
+    only matches rule bodies pivoted on the previous round's delta.  The
+    chase variants stream canonical trigger order; the Datalog closure
+    derives a round's head atoms in one batched pass, with no trigger
+    objects.
 ``naive``
     Full re-match reference implementation; kept as the ground truth the
     other engines are tested against.
-``parallel``
-    The sharded round scheduler plus batched firing
-    (:mod:`repro.engine.scheduler`, :mod:`repro.engine.batch`): trigger
-    enumeration fans out over a worker pool (threads by default, processes
-    opt-in) and a whole round is applied with one amortized recording
-    pass.  Results are bit-identical to ``delta``.
 ``persistent``
-    The parallel engine backed by persistent delta-fed process workers
-    (:mod:`repro.engine.workers`): each worker holds a long-lived replica
-    of the instance seeded once at pool start and synced with only the
-    per-round delta, and both enumeration *and* firing are sharded across
-    the pool.  ``"persistent"`` is sugar for ``mode="parallel"`` with
-    ``persistent=True``; results are bit-identical to ``delta`` for every
+    The sharded round scheduler (:mod:`repro.engine.scheduler`) on
+    persistent delta-fed process workers (:mod:`repro.engine.workers`):
+    each worker holds a long-lived id-native replica of the instance,
+    seeded once at pool start and synced with only the per-round delta,
+    and enumeration, firing and satisfaction probes are sharded across
+    the pool.  At ``workers=1`` the sharded merge runs inline, with no
+    processes.  Results are bit-identical to ``delta`` for every
     worker/shard count.
 """
 
@@ -38,16 +35,14 @@ from dataclasses import dataclass, replace
 
 from repro.errors import ChaseError
 
-#: Default fan-out of the ``parallel`` engine.  Chosen for laptop-scale
-#: corpora; raise it via an explicit :class:`EngineConfig` on bigger boxes.
-DEFAULT_PARALLEL_WORKERS = 4
+#: Default pool size of the ``persistent`` engine.  Chosen for
+#: laptop-scale corpora; pick another via an explicit
+#: :class:`EngineConfig` (or :meth:`EngineConfig.with_workers`).
+DEFAULT_PERSISTENT_WORKERS = 4
 
 
 #: The execution modes the chase variants know how to dispatch on.
-#: ``"persistent"`` is accepted as a mode spelling but normalizes to
-#: ``mode="parallel"`` + ``persistent=True`` at construction — the chase
-#: variants only ever dispatch on the first three.
-MODES = ("delta", "naive", "parallel", "persistent")
+MODES = ("delta", "naive", "persistent")
 
 
 @dataclass(frozen=True)
@@ -62,30 +57,18 @@ class EngineConfig:
         use any name (e.g. ``"turbo"``).
     mode:
         The execution mode the chase variants dispatch on — one of
-        ``"delta"``, ``"naive"``, ``"parallel"``.  Defaults to ``name``;
-        a preset under a custom name must set it explicitly.  Validated
-        at construction, so a typo raises instead of silently running
-        the wrong engine.
+        :data:`MODES`.  Defaults to ``name``; a preset under a custom
+        name must set it explicitly.  Validated at construction, so a
+        typo raises instead of silently running the wrong engine.
     workers:
-        Worker-pool size used by the parallel scheduler.  ``1`` runs the
-        sharded enumeration inline (useful for debugging and for the
-        determinism tests); ignored by the sequential engines.
+        Worker-pool size of the ``persistent`` engine.  ``1`` runs the
+        sharded enumeration and merge inline, with no processes (useful
+        for debugging and for the determinism tests); ignored by the
+        inline engines.
     shards:
         Number of hash shards the per-round delta is split into.  ``0``
         (the default) means one shard per worker.  The shard count never
         affects results — only how enumeration work is distributed.
-    use_processes:
-        When True the scheduler uses a process pool instead of threads.
-        Opt-in: processes sidestep the GIL for large per-round matching
-        but pay pickling costs proportional to the instance per round.
-    persistent_workers:
-        When True the scheduler runs on the persistent
-        :class:`~repro.engine.workers.WorkerPool` instead of an executor:
-        worker processes keep long-lived instance replicas fed by
-        per-round deltas (no full-context pickle per round) and the
-        firing path is sharded across the pool too.  Implies a
-        parallel-mode engine; ``use_processes`` is irrelevant (the pool
-        is always processes).
     adaptive_routing:
         When True, the persistent pool's shard→worker placement is
         size-balanced instead of hash-uniform: each round's non-empty
@@ -93,27 +76,16 @@ class EngineConfig:
         byte weight (:func:`repro.engine.shards.atom_weight`), so one hot
         predicate hashing into one shard no longer serializes the pool.
         Default False — hash-uniform round-robin placement is kept as the
-        reference.  Requires ``persistent_workers`` (the executor
-        backends have no shard→worker placement: their task queues
-        load-balance dynamically); placement never affects results, only
-        load balance.
-    columnar:
-        When True (the default), persistent workers hold id-native
-        :class:`~repro.engine.columnar.ColumnarInstance` replicas
-        instead of object-level instances: packed sync buffers fold
-        straight into flat id columns (no per-round ``decode_atoms``),
-        probes run on id tuples, and atoms materialize lazily only
-        where the matcher touches them.  An ablation knob — results are
-        bit-identical either way; ignored by the non-persistent
-        engines.
+        reference.  Requires the ``persistent`` mode; placement never
+        affects results, only load balance.
     shared_memory:
         When True, the persistent pool routes payloads of at least
         ``shm_threshold`` bytes (seed rows, sync deltas, pivot/task
         buffers) through :class:`~repro.engine.shm.SegmentPool`
         shared-memory segments; the pipes carry only small control
         envelopes holding ``(segment, offset, length)`` refs.  Opt-in
-        (default False) and requires ``persistent_workers`` — the other
-        backends have no long-lived processes to share segments with.
+        (default False) and requires the ``persistent`` mode — the other
+        engines have no long-lived processes to share segments with.
         Raises at pool start when the platform has no working
         ``multiprocessing.shared_memory`` (see
         :func:`repro.engine.shm.shm_available`).
@@ -132,10 +104,7 @@ class EngineConfig:
     mode: str = ""
     workers: int = 1
     shards: int = 0
-    use_processes: bool = False
-    persistent_workers: bool = False
     adaptive_routing: bool = False
-    columnar: bool = True
     shared_memory: bool = False
     shm_threshold: int = 256
     description: str = ""
@@ -149,26 +118,17 @@ class EngineConfig:
                 f"engine {self.name!r} has unknown mode {self.mode!r}; "
                 f"valid modes: {valid}"
             )
-        if self.mode == "persistent":
-            object.__setattr__(self, "mode", "parallel")
-            object.__setattr__(self, "persistent_workers", True)
-        if self.persistent_workers and self.mode != "parallel":
+        if self.adaptive_routing and not self.is_persistent:
             raise ChaseError(
-                f"engine {self.name!r}: persistent_workers requires a "
-                f"parallel-mode engine (got mode {self.mode!r})"
+                f"engine {self.name!r}: adaptive_routing requires the "
+                f"persistent mode — only the worker pool has a "
+                f"shard→worker placement to balance"
             )
-        if self.adaptive_routing and not self.persistent_workers:
+        if self.shared_memory and not self.is_persistent:
             raise ChaseError(
-                f"engine {self.name!r}: adaptive_routing requires "
-                f"persistent workers — the executor backends have no "
-                f"shard→worker placement to balance (their task queues "
-                f"load-balance dynamically)"
-            )
-        if self.shared_memory and not self.persistent_workers:
-            raise ChaseError(
-                f"engine {self.name!r}: shared_memory requires persistent "
-                f"workers — only the long-lived pool has processes to "
-                f"share segments with"
+                f"engine {self.name!r}: shared_memory requires the "
+                f"persistent mode — only the long-lived pool has "
+                f"processes to share segments with"
             )
         if self.shm_threshold < 1:
             raise ChaseError(
@@ -186,19 +146,20 @@ class EngineConfig:
             )
 
     @property
-    def is_parallel(self) -> bool:
-        """True when rounds go through the sharded scheduler."""
-        return self.mode == "parallel"
-
-    @property
     def is_naive(self) -> bool:
         """True for the full re-match reference mode."""
         return self.mode == "naive"
 
     @property
     def is_persistent(self) -> bool:
-        """True when rounds run on the persistent worker pool."""
-        return self.persistent_workers
+        """True when rounds go through the sharded scheduler and its
+        persistent worker pool."""
+        return self.mode == "persistent"
+
+    @property
+    def persistent_workers(self) -> bool:
+        """Read-only alias of :attr:`is_persistent` (provenance readers)."""
+        return self.is_persistent
 
     @property
     def shard_count(self) -> int:
@@ -216,7 +177,7 @@ _REGISTRY: dict[str, EngineConfig] = {
     "delta": EngineConfig(
         "delta",
         description=(
-            "sequential semi-naive enumeration pivoted on the previous "
+            "inline semi-naive evaluation pivoted on the previous "
             "round's delta (the default)"
         ),
     ),
@@ -227,17 +188,9 @@ _REGISTRY: dict[str, EngineConfig] = {
             "are tested against"
         ),
     ),
-    "parallel": EngineConfig(
-        "parallel",
-        workers=DEFAULT_PARALLEL_WORKERS,
-        description=(
-            "sharded round scheduler (threads) plus batched firing; "
-            "bit-identical for every worker/shard count"
-        ),
-    ),
     "persistent": EngineConfig(
         "persistent",
-        workers=DEFAULT_PARALLEL_WORKERS,
+        workers=DEFAULT_PERSISTENT_WORKERS,
         description=(
             "persistent delta-fed process workers with sharded firing; "
             "replicas seeded once, rounds ship only the delta"
@@ -264,10 +217,9 @@ def register_engine(config: EngineConfig, *, replace_existing: bool = False) -> 
     """Register ``config`` as the default for its name.
 
     Third parties can add tuned presets — e.g.
-    ``EngineConfig("turbo", mode="parallel", workers=8,
-    use_processes=True)`` — and select them by name everywhere an
-    ``engine`` argument is accepted; the preset's ``mode`` decides how
-    the chase variants dispatch it.
+    ``EngineConfig("turbo", mode="persistent", workers=8)`` — and
+    select them by name everywhere an ``engine`` argument is accepted;
+    the preset's ``mode`` decides how the chase variants dispatch it.
     """
     if config.name in _REGISTRY and not replace_existing:
         raise ChaseError(

@@ -3,7 +3,7 @@
 One pivot-atom decomposition serves every delta-driven round in the
 library: trigger enumeration for the chase variants
 (:func:`repro.chase.trigger.new_triggers_of`), sharded enumeration in the
-parallel scheduler, and head derivation for the Datalog closure
+persistent scheduler, and head derivation for the Datalog closure
 (:func:`repro.rewriting.datalog.semi_naive_closure`).  Before this module
 existed ``rewriting/datalog.py`` carried its own copy of the decomposition
 without the positional index; now both layers share this code.
@@ -111,4 +111,20 @@ def derive_delta_atoms(
         for binding in pivot_bindings(body, instance, pivot, candidates):
             for atom in head:
                 add(atom.apply(binding))
+    return derived
+
+
+def derive_round_atoms(
+    rules: Iterable[Rule], instance: Instance, delta_inst: Instance
+) -> set[Atom]:
+    """One derivation round: :func:`derive_delta_atoms` over every rule.
+
+    The whole round of the Datalog closure — run inline by the ``delta``
+    engine (one view of the round's delta), per shard by the
+    ``persistent`` scheduler, and with ``delta_inst is instance`` by the
+    ``naive`` engine's full re-derivation.
+    """
+    derived: set[Atom] = set()
+    for rule in rules:
+        derived.update(derive_delta_atoms(rule, instance, delta_inst))
     return derived

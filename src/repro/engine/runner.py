@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.batch import fire_round
 from repro.engine.config import EngineConfig, resolve_engine
-from repro.engine.core import derive_delta_atoms
+from repro.engine.core import as_delta_instance, derive_round_atoms
 from repro.engine.scheduler import RoundScheduler
 from repro.engine.workers import TRANSPORT_STATS
 from repro.errors import ChaseBudgetExceeded, ChaseError
@@ -135,7 +135,7 @@ class VariantPolicy:
     # -- enumeration ---------------------------------------------------
 
     def filter_new(self, triggers: Iterable["Trigger"]) -> list["Trigger"]:
-        """Post-filter the delta/parallel enumeration of one round."""
+        """Post-filter the delta/persistent enumeration of one round."""
         return triggers if isinstance(triggers, list) else list(triggers)
 
     def naive_new_triggers(
@@ -164,7 +164,7 @@ class VariantPolicy:
         """Existence probe after the step budget, delta engines.
 
         Existence-only, so the sequential enumeration serves every engine
-        (the parallel scheduler is already closed when this runs).
+        (the persistent scheduler is already closed when this runs).
         """
         from repro.chase.trigger import new_triggers_of
 
@@ -262,7 +262,7 @@ class FixpointPolicy(VariantPolicy):
 class ChaseRunner:
     """The saturation loop every chase variant and closure runs through.
 
-    One runner serves one run: it resolves the engine, owns the parallel
+    One runner serves one run: it resolves the engine, owns the persistent
     scheduler's lifecycle (and through it the worker pool's), executes the
     per-round enumerate → gate → fire → record cycle, enforces the atom
     and step budgets with strict/partial semantics, and detects the
@@ -618,17 +618,13 @@ class ChaseRunner:
     def _derive(self, total: "Instance", rules: "RuleSet") -> set["Atom"]:
         """One derivation round on the run's engine.
 
-        ``naive`` re-derives from the whole instance; the sequential delta
-        path streams the canonical trigger enumeration (the chase
-        variants' inner loop — the reference the batched derivation mode
-        is benchmarked against); the parallel scheduler runs the sharded
-        batched derivation mode.
+        ``naive`` re-derives from the whole instance; ``delta`` runs the
+        batched derivation inline on one view of the round's delta (no
+        trigger objects, no canonical ordering); ``persistent`` shards
+        the same derivation across the scheduler.
         """
         if self.config.is_naive:
-            derived: set["Atom"] = set()
-            for rule in rules:
-                derived.update(derive_delta_atoms(rule, total, total))
-            return derived
+            return derive_round_atoms(rules, total, total)
         delta = total.delta_since(self._seen_revision)
         self._seen_revision = total.revision
         recorder = active_round()
@@ -636,12 +632,7 @@ class ChaseRunner:
             recorder.delta_atoms = len(delta)
         if self._scheduler is not None:
             return self._scheduler.derive_atoms(total, rules, delta)
-        from repro.chase.trigger import new_triggers_of
-
-        derived = set()
-        for trigger in new_triggers_of(total, rules, delta):
-            derived.update(trigger.mapping.apply_atoms(trigger.rule.head))
-        return derived
+        return derive_round_atoms(rules, total, as_delta_instance(delta))
 
     # ------------------------------------------------------------------
     # Fixpoint-mode runs (non-instance breadth loops)
@@ -750,7 +741,7 @@ class ChaseRunner:
         self._used = True
 
     def _open(self) -> None:
-        if self.config.is_parallel and self._scheduler is None:
+        if self.config.is_persistent and self._scheduler is None:
             self._scheduler = RoundScheduler(self.config)
 
     def _close(self) -> None:

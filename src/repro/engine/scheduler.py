@@ -1,71 +1,63 @@
-"""The parallel round scheduler: sharded fan-out, canonical merge.
+"""The sharded round scheduler: persistent-pool fan-out, canonical merge.
 
-One :class:`RoundScheduler` serves one chase (or closure) run.  Each round
-it routes the level's delta through a :class:`~repro.engine.shards.ShardedIndex`,
-fans the per-shard enumeration out over a worker pool, and merges the
-candidates back into the canonical order of the sequential delta engine —
-per rule in rule-set order, matches sorted by body-variable image — so the
-results are bit-identical no matter how many workers or shards ran.
+One :class:`RoundScheduler` serves one ``persistent``-engine chase (or
+closure) run.  Each round it routes the level's delta through a
+:class:`~repro.engine.shards.ShardedIndex`, fans the per-shard
+enumeration out over a :class:`~repro.engine.workers.WorkerPool`, and
+merges the candidates back into the canonical order of the sequential
+delta engine — per rule in rule-set order, matches sorted by
+body-variable image — so the results are bit-identical no matter how many
+workers or shards ran.
 
 Workers and determinism
 -----------------------
 Shard assignment is hash-based and workers finish in arbitrary order, but
-neither can influence the output: every shard worker returns its matches
-keyed by canonical image, equal keys imply equal (restricted) matches, and
-the merge is a keyed union followed by a sort.  The worker/shard count is
-therefore purely a throughput knob.
+neither can influence the output: every shard returns its matches keyed
+by canonical image, equal keys imply equal (restricted) matches, and the
+merge is a keyed union followed by a sort.  The worker/shard count is
+therefore purely a throughput knob.  With ``workers == 1`` (or a round
+with a single non-empty shard) the shards run inline through the same
+merge, with no processes.
 
-Threads, processes, persistent workers
---------------------------------------
-The default pool is threads: enumeration only *reads* the shared instance
-(index-cache fills are idempotent), so no locking is needed, and thread
-fan-out composes with free-threaded builds and with matchers that release
-the GIL.  On a GIL build the wall-clock win of ``engine="parallel"`` comes
-from the batched firing path (:mod:`repro.engine.batch`) rather than from
-concurrency; ``use_processes=True`` opts into a process pool that
-sidesteps the GIL at the cost of pickling the instance per round (the
-blob is built once per (revision, rules) and reused across same-revision
-rounds), which pays off only when per-round matching dominates by a wide
-margin.  ``persistent_workers=True`` replaces the executor with a
-:class:`~repro.engine.workers.WorkerPool`: workers keep long-lived
-instance replicas seeded once and synced with per-round deltas, and the
-*firing* path is sharded across the pool too (:meth:`RoundScheduler.fire_round`)
-— for every non-interleaved round the :class:`~repro.engine.runner.ChaseRunner`
+The persistent pool
+-------------------
+Workers keep long-lived id-native instance replicas seeded once and
+synced with per-round deltas, and the *firing* path is sharded across
+the pool too (:meth:`RoundScheduler.fire_round`) — for every
+non-interleaved round the :class:`~repro.engine.runner.ChaseRunner`
 policies produce.  All pool payloads — sync deltas, pivots, fire/probe
-task slices and their replies — travel in the interned-term columnar
-encoding of :mod:`repro.engine.wire` (flat id buffers over a shared
-append-only symbol table), batched per worker: the scheduler hands the
-pool one task list per worker and gets one merged reply per worker
-back, never per-trigger messages.  The restricted chase's *split*
-rounds (any round with existential-free triggers, mixed rounds
-included) additionally shard their satisfaction gate: the ``probe``
-protocol command instantiates and pre-resolves each ground head against
-the worker replicas, and the parent finalizes the claims lazily while
-recording (:meth:`RoundScheduler.fire_split_round`).
+task slices and their replies — travel in the interned-term encoding of
+:mod:`repro.engine.wire` (flat id buffers over a shared append-only
+symbol table), batched per worker: the scheduler hands the pool one task
+list per worker and gets one merged reply per worker back, never
+per-trigger messages.  The restricted chase's *split* rounds (any round
+with existential-free triggers, mixed rounds included) additionally
+shard their satisfaction gate: the ``probe`` protocol command
+instantiates and pre-resolves each ground head against the worker
+replicas, and the parent finalizes the claims lazily while recording
+(:meth:`RoundScheduler.fire_split_round`).  This module never pickles:
+every envelope is built and serialized by :mod:`repro.engine.workers`.
 
-Shard → worker placement on the persistent pool is hash-uniform
-round-robin by default; ``EngineConfig.adaptive_routing`` switches to
-size-balanced placement (largest shard first onto the least-loaded
-worker, by wire byte weight — :func:`~repro.engine.shards.atom_weight`
-is exactly the packed-encoding cost, so routing balances the bytes the
-pool actually ships), which keeps a skewed delta — one hot predicate
-hashing into one shard — from serializing the pool.  Placement never
-affects results.
+Shard → worker placement is hash-uniform round-robin by default;
+``EngineConfig.adaptive_routing`` switches to size-balanced placement
+(largest shard first onto the least-loaded worker, by wire byte weight —
+:func:`~repro.engine.shards.atom_weight` is exactly the packed-encoding
+cost, so routing balances the bytes the pool actually ships), which
+keeps a skewed delta — one hot predicate hashing into one shard — from
+serializing the pool.  Placement never affects results.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.engine.batch import RoundOutcome
 from repro.obs.trace import active_round
 from repro.engine.config import EngineConfig
-from repro.engine.core import derive_delta_atoms, rule_delta_images
+from repro.engine.core import derive_round_atoms, rule_delta_images
 from repro.engine.shards import ShardedIndex, atom_weight
-from repro.engine.workers import TRANSPORT_STATS, WorkerPool, _fire_payload
+from repro.engine.workers import WorkerPool
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.substitutions import Substitution
@@ -90,74 +82,36 @@ def _run_shard(
     """Enumerate one shard's delta view against the full instance.
 
     Returns per-rule ``{image: homomorphism}`` dicts in ``enumerate`` mode
-    or the derived head-atom set in ``derive`` mode.  Top-level so process
-    pools can pickle it by reference.
+    or the derived head-atom set in ``derive`` mode.  Runs inline in the
+    parent and, on the persistent pool, inside each worker.
     """
     if mode == _DERIVE:
-        derived: set[Atom] = set()
-        for rule in rules:
-            derived.update(derive_delta_atoms(rule, instance, view))
-        return derived
+        return derive_round_atoms(rules, instance, view)
     return [rule_delta_images(rule, instance, view) for rule in rules]
 
 
-def _run_shard_payload(payload):
-    """Process-pool entry point: unpack one pickled shard task.
-
-    The shared (rules, instance) context arrives as one pre-pickled blob —
-    serialized once per round by the parent, shipped as raw bytes per task
-    — so the parent does a single object-graph pickle per round no matter
-    how many shards run.
-    """
-    context_blob, mode, atoms = payload
-    rules, instance = pickle.loads(context_blob)
-    view = Instance(atoms, add_top=False)
-    return _run_shard(mode, rules, instance, view)
-
-
 class RoundScheduler:
-    """Fans per-round delta enumeration out across a worker pool.
+    """Fans per-round delta enumeration out across the persistent pool.
 
-    Create one per run and :meth:`close` it afterwards (the chase variants
-    do both); the pool and the sharded index persist across rounds.  With
-    ``workers == 1`` everything runs inline — same code path, no pool —
-    which the determinism tests use as the parallel baseline.
+    Create one per run and :meth:`close` it afterwards (the runner does
+    both); the pool and the sharded index persist across rounds.  With
+    ``workers == 1`` everything runs inline — same shards, same merge,
+    no pool — which the determinism tests use as the sharded baseline.
     """
 
     def __init__(self, config: EngineConfig):
         self.config = config
-        # Chase deltas never repeat an atom, so the index skips cumulative
-        # shard copies and only routes per-round views (half the memory).
-        self._index = ShardedIndex(config.shard_count, track_shards=False)
-        self._executor: Executor | None = None
+        self._index = ShardedIndex(config.shard_count)
         self._worker_pool: WorkerPool | None = None
-        # Legacy process-mode context cache: (instance, revision, rules)
-        # -> pickled blob, so two same-revision rounds (e.g. enumeration
-        # then firing, or repeated fixpoint probes) serialize the
-        # object graph once instead of once per call.
-        self._context: tuple[Instance, int, tuple[Rule, ...], bytes] | None = None
 
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
 
-    def _pool(self) -> Executor:
-        if self._executor is None:
-            workers = self.config.workers
-            if self.config.use_processes:
-                self._executor = ProcessPoolExecutor(max_workers=workers)
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix="repro-engine",
-                )
-        return self._executor
-
-    def _persistent_pool(self) -> WorkerPool:
+    def _pool(self) -> WorkerPool:
         if self._worker_pool is None:
             self._worker_pool = WorkerPool(
                 self.config.workers,
-                columnar=self.config.columnar,
                 shared_memory=self.config.shared_memory,
                 shm_threshold=self.config.shm_threshold,
             )
@@ -165,13 +119,9 @@ class RoundScheduler:
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if self._worker_pool is not None:
             self._worker_pool.close()
             self._worker_pool = None
-        self._context = None
 
     def __enter__(self) -> "RoundScheduler":
         return self
@@ -183,35 +133,15 @@ class RoundScheduler:
     # Round execution
     # ------------------------------------------------------------------
 
-    def _context_blob(
-        self, rules: Sequence[Rule], instance: Instance
-    ) -> bytes:
-        """The pickled ``(rules, instance)`` context of legacy process
-        mode, cached per (instance identity, revision, rules).
+    @property
+    def fans_out(self) -> bool:
+        """True when the scheduler has a worker pool to fan rounds out to.
 
-        Enumeration and firing of one round, and repeated probes on an
-        unchanged instance, hit the cache; any mutation bumps the
-        revision and invalidates it.
+        Sharded firing and sharded satisfaction probes only pay off
+        across processes, so a one-worker scheduler keeps the inline
+        batched paths of :func:`repro.engine.batch.fire_round`.
         """
-        rules = tuple(rules)
-        cached = self._context
-        if (
-            cached is not None
-            and cached[0] is instance
-            and cached[1] == instance.revision
-            and cached[2] == rules
-        ):
-            return cached[3]
-        # checks: allow[T202] -- the legacy process backend ships the whole
-        # context by design (it is the baseline the persistent pool is
-        # measured against); the bytes are budget-gated via context_bytes.
-        blob = pickle.dumps(
-            (rules, instance), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        TRANSPORT_STATS.context_pickles += 1
-        TRANSPORT_STATS.context_bytes += len(blob)
-        self._context = (instance, instance.revision, rules, blob)
-        return blob
+        return self.config.workers > 1
 
     def _run_round(
         self,
@@ -221,7 +151,7 @@ class RoundScheduler:
         delta: Iterable[Atom],
     ) -> list:
         """Shard the delta, run one task per non-empty shard, return the
-        per-shard results in shard order."""
+        per-shard (inline) or per-worker (pool) results."""
         views = self._index.ingest(delta)
         recorder = active_round()
         if recorder is not None:
@@ -234,23 +164,11 @@ class RoundScheduler:
         tasks = [view for view in views if len(view)]
         if not tasks:
             return []
-        if self.config.workers == 1 or len(tasks) == 1:
+        if not self.fans_out or len(tasks) == 1:
             return [_run_shard(mode, rules, instance, v) for v in tasks]
-        if self.config.is_persistent:
-            pool = self._persistent_pool()
-            return pool.run_round(
-                mode, rules, instance, self._route_pivots(views, pool.size)
-            )
-        if self.config.use_processes:
-            context_blob = self._context_blob(rules, instance)
-            payloads = [
-                (context_blob, mode, tuple(v.sorted_atoms())) for v in tasks
-            ]
-            return list(self._pool().map(_run_shard_payload, payloads))
-        return list(
-            self._pool().map(
-                lambda v: _run_shard(mode, rules, instance, v), tasks
-            )
+        pool = self._pool()
+        return pool.run_round(
+            mode, rules, instance, self._route_pivots(views, pool.size)
         )
 
     def _route_pivots(
@@ -326,28 +244,6 @@ class RoundScheduler:
     # Sharded firing
     # ------------------------------------------------------------------
 
-    @property
-    def can_fire_rounds(self) -> bool:
-        """True when this scheduler shards non-interleaved firing.
-
-        Only the process backends qualify: pure-Python head instantiation
-        under one GIL gains nothing from thread fan-out, so thread mode
-        keeps the inline batched path of :func:`repro.engine.batch.fire_round`.
-        """
-        return self.config.workers > 1 and (
-            self.config.is_persistent or self.config.use_processes
-        )
-
-    @property
-    def can_probe_rounds(self) -> bool:
-        """True when this scheduler shards satisfaction probes.
-
-        Probes run against worker-resident instance replicas, so only the
-        persistent pool qualifies; the legacy process backend has no
-        replicas and falls back to the inline split path.
-        """
-        return self.config.workers > 1 and self.config.is_persistent
-
     def fire_round(
         self,
         result: "ChaseResult",
@@ -386,11 +282,11 @@ class RoundScheduler:
           would restore it even if a chunk overran).
 
         Returns ``None`` when this round should run inline instead (too
-        few triggers, or a non-sharding backend); the caller falls back
+        few triggers, or a one-worker pool); the caller falls back
         to :func:`repro.engine.batch.fire_round` with claim and supply
         untouched.
         """
-        if not self.can_fire_rounds or len(triggers) < 2:
+        if not self.fans_out or len(triggers) < 2:
             return None
         # The chunk cap below assumes one application adds at most
         # max_head new atoms — exact, since outputs are head images.
@@ -456,8 +352,8 @@ class RoundScheduler:
             positions.append(supply.position)
         # Tasks reference rules by index into the chunk's distinct-rule
         # tuple (a few atoms per rule) instead of re-shipping the rule per
-        # trigger; the persistent pool further packs each worker's task
-        # list into one flat id buffer (repro.engine.wire).  Triggers
+        # trigger; the pool packs each worker's task list into one flat
+        # id buffer (repro.engine.wire).  Triggers
         # whose claim parked a ground output produce no task: the parked
         # atoms are the output.
         rule_indexes: dict[Rule, int] = {}
@@ -480,22 +376,7 @@ class RoundScheduler:
                 (index, rule_index, trigger.mapping, existential_maps[index])
             )
         if fire_rules:
-            if self.config.is_persistent:
-                pairs = self._persistent_pool().fire(
-                    fire_rules, tasks_per_worker
-                )
-            else:
-                payloads = [
-                    (tuple(fire_rules), tasks)
-                    for tasks in tasks_per_worker
-                    if tasks
-                ]
-                pairs = [
-                    pair
-                    for per_worker in self._pool().map(_fire_payload, payloads)
-                    for pair in per_worker
-                ]
-            outputs.update(pairs)
+            outputs.update(self._pool().fire(fire_rules, tasks_per_worker))
         applications = (
             (trigger, (outputs[index], existential_maps[index]))
             for index, trigger in enumerate(claimed)
@@ -518,7 +399,7 @@ class RoundScheduler:
     ) -> RoundOutcome | None:
         """Fire a restricted *split* round: sharded probes, lazy claims.
 
-        The round's existential-free triggers fan out over the persistent
+        The round's existential-free triggers fan out over the worker
         pool as ``probe`` tasks — each worker instantiates its slice's
         ground heads exactly once and splits them against its replica
         (the chase instance at round start) into present/missing atoms.
@@ -540,10 +421,10 @@ class RoundScheduler:
         null draws and budget stops are bit-identical to the interleaved
         reference; only the probes run (speculatively but invisibly)
         ahead of it, worker-side.  Returns ``None`` when the round should
-        run on the inline split path instead (no replica backend, or too
+        run on the inline split path instead (a one-worker pool, or too
         few probe-eligible triggers).
         """
-        if not self.can_probe_rounds:
+        if not self.fans_out:
             return None
         workers = self.config.workers
         rule_indexes: dict[Rule, int] = {}
@@ -568,11 +449,11 @@ class RoundScheduler:
         recorder = active_round()
         if recorder is not None:
             with recorder.outer_phase("probe"):
-                probe_results = self._persistent_pool().probe_round(
+                probe_results = self._pool().probe_round(
                     probe_rules, instance, tasks_per_worker
                 )
         else:
-            probe_results = self._persistent_pool().probe_round(
+            probe_results = self._pool().probe_round(
                 probe_rules, instance, tasks_per_worker
             )
         probed = {

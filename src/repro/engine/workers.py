@@ -1,9 +1,8 @@
 """Persistent delta-fed process workers.
 
-The legacy process backend of the round scheduler re-pickles the whole
-``(rules, instance)`` context every round — the instance grows, so the
-payload grows with it.  A :class:`WorkerPool` inverts that: each worker
-process holds a *long-lived replica* of the instance, seeded once when the
+A :class:`WorkerPool` backs the ``persistent`` engine: each worker
+process holds a *long-lived replica* of the instance — an id-native
+:class:`~repro.engine.columnar.ColumnarInstance` — seeded once when the
 pool first runs, and every later round ships only the **per-round delta**
 (the atoms added since the replicas were last synced, straight from
 :meth:`~repro.logic.instances.Instance.delta_since`).  Payload size is
@@ -24,8 +23,9 @@ pickled — that is also how the pool accounts transport in
 
 ``("seed", segment, rules, atoms_buf)``
     Replace the worker's rule list and rebuild its replica from the
-    packed atom buffer.  Sent once per (pool, rule set) — at pool start,
-    or if a caller reuses the pool under different rules.
+    packed atom buffer (folded straight into the replica's id columns).
+    Sent once per (pool, rule set) — at pool start, or if a caller
+    reuses the pool under different rules.
 ``("sync", segment, sync_buf)``
     Fold the packed per-round delta into the replica and acknowledge.
     Sent to workers that have no pivots/tasks in a round where others
@@ -116,10 +116,7 @@ class TransportStats:
     """Byte/message counters for the pool's pipe traffic.
 
     Module-global (like ``MATCHER_STATS`` in the homomorphism matcher) so
-    benchmarks can quantify the persistent mode's payload win over the
-    per-round full-context pickles of the legacy process backend.
-    ``context_bytes``/``context_pickles`` are fed by the scheduler's
-    legacy blob cache for the same comparison.
+    tests and benchmarks can pin what the persistent protocol ships.
 
     Beyond the totals, :attr:`commands` keys per-command counters —
     ``{"messages", "bytes_sent", "bytes_received", "shm_bytes",
@@ -158,8 +155,6 @@ class TransportStats:
         "messages",
         "seeds",
         "probes",
-        "context_bytes",
-        "context_pickles",
         "commands",
         "worker_seconds",
     )
@@ -176,8 +171,6 @@ class TransportStats:
         self.messages = 0
         self.seeds = 0
         self.probes = 0
-        self.context_bytes = 0
-        self.context_pickles = 0
         self.commands: dict[str, dict[str, int]] = {}
         self.worker_seconds: dict[str, dict[str, float]] = {}
 
@@ -281,19 +274,12 @@ def fire_tasks(
     <repro.rules.rule.Rule.instantiate_head>` — the same code
     :meth:`Trigger.output <repro.chase.trigger.Trigger.output>` runs, so
     a worker returns exactly the atoms the sequential engine would have
-    produced.  Top-level so both process backends can ship it by
-    reference.
+    produced.
     """
     return [
         (index, rules[rule_index].instantiate_head(mapping, existential_map))
         for index, rule_index, mapping, existential_map in tasks
     ]
-
-
-def _fire_payload(payload: tuple) -> list[tuple[int, set[Atom]]]:
-    """Legacy process-pool entry point for one firing slice."""
-    rules, tasks = payload
-    return fire_tasks(rules, tasks)
 
 
 def probe_tasks(
@@ -324,16 +310,16 @@ def probe_tasks(
     return results
 
 
-def _worker_main(conn, columnar: bool = False) -> None:
+def _worker_main(conn) -> None:
     """The long-lived worker loop: one replica, one rule list, one wire
     table; per-round packed deltas in, one packed reply per round out.
 
-    With ``columnar=True`` the replica is an id-native
+    The replica is an id-native
     :class:`~repro.engine.columnar.ColumnarInstance` over the decoder's
     table replica: packed seed/sync buffers fold straight into flat id
-    columns (``decode_atoms`` leaves the per-round hot path), probes run
-    on id tuples, and atoms materialize lazily only where the matcher
-    touches them.  Payload fields may arrive as
+    columns (``decode_atoms`` stays off the per-round hot path), probes
+    run on id tuples, and atoms materialize lazily only where the
+    matcher touches them.  Payload fields may arrive as
     :class:`~repro.engine.shm.SegmentRef`\\ s instead of bytes; they are
     resolved against a per-worker :class:`~repro.engine.shm.SegmentReader`
     (attach once per segment, memcpy per read) before decoding.
@@ -355,11 +341,8 @@ def _worker_main(conn, columnar: bool = False) -> None:
     perf = time.perf_counter
     rules: tuple[Rule, ...] = ()
     decoder = wire.WireDecoder()
-    replica = (
-        ColumnarInstance(Vocabulary.of_decoder(decoder))
-        if columnar
-        else Instance(add_top=False)
-    )
+    vocabulary = Vocabulary.of_decoder(decoder)
+    replica = ColumnarInstance(vocabulary)
     reader = shm_transport.SegmentReader()
     resolve = shm_transport.resolve
     while True:
@@ -386,45 +369,27 @@ def _worker_main(conn, columnar: bool = False) -> None:
                 _, segment, rules, atoms_buf = message
                 decoder.apply_segment(segment)
                 atoms_buf = resolve(reader, atoms_buf)
-                if columnar:
-                    decoded = perf()
-                    replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
-                    replica.ingest_packed(atoms_buf)
-                else:
-                    atoms = decoder.decode_atoms(atoms_buf)
-                    decoded = perf()
-                    replica = Instance(atoms, add_top=False)
+                decoded = perf()
+                replica = ColumnarInstance(vocabulary)
+                replica.ingest_packed(atoms_buf)
                 value = len(replica)
                 executed = perf()
             elif command == "sync":
                 _, segment, sync_buf = message
                 decoder.apply_segment(segment)
                 sync_buf = resolve(reader, sync_buf)
-                if columnar:
-                    decoded = perf()
-                    value = replica.ingest_packed(sync_buf)
-                else:
-                    sync_atoms = decoder.decode_atoms(sync_buf)
-                    decoded = perf()
-                    replica.update(sync_atoms)
-                    value = len(sync_atoms)
+                decoded = perf()
+                value = replica.ingest_packed(sync_buf)
                 executed = perf()
             elif command in ("enumerate", "derive"):
                 _, segment, sync_buf, pivot_buf = message
                 decoder.apply_segment(segment)
                 sync_buf = resolve(reader, sync_buf)
                 pivot_buf = resolve(reader, pivot_buf)
-                if columnar:
-                    decoded = perf()
-                    replica.ingest_packed(sync_buf)
-                    view = ColumnarInstance(replica.vocabulary)
-                    view.ingest_packed(pivot_buf)
-                else:
-                    sync_atoms = decoder.decode_atoms(sync_buf)
-                    pivot_atoms = decoder.decode_atoms(pivot_buf)
-                    decoded = perf()
-                    replica.update(sync_atoms)
-                    view = Instance(pivot_atoms, add_top=False)
+                decoded = perf()
+                replica.ingest_packed(sync_buf)
+                view = ColumnarInstance(vocabulary)
+                view.ingest_packed(pivot_buf)
                 result = _run_shard(command, rules, replica, view)
                 executed = perf()
                 if command == "derive":
@@ -439,13 +404,8 @@ def _worker_main(conn, columnar: bool = False) -> None:
                 sync_buf = resolve(reader, sync_buf)
                 tasks_buf = resolve(reader, tasks_buf)
                 tasks = decoder.decode_probe_tasks(tasks_buf, probe_rules)
-                if columnar:
-                    decoded = perf()
-                    replica.ingest_packed(sync_buf)
-                else:
-                    sync_atoms = decoder.decode_atoms(sync_buf)
-                    decoded = perf()
-                    replica.update(sync_atoms)
+                decoded = perf()
+                replica.ingest_packed(sync_buf)
                 results = probe_tasks(probe_rules, replica, tasks)
                 executed = perf()
                 value = wire.encode_probe_reply(decoder, results)
@@ -481,8 +441,7 @@ class WorkerPool:
 
     Lifecycle: the pool spawns lazily on first use, is owned by one
     :class:`~repro.engine.scheduler.RoundScheduler` (and therefore one
-    chase/closure run), and is torn down by the scheduler's ``close()`` —
-    the same ``EngineConfig``-driven lifecycle as the legacy executors.
+    chase/closure run), and is torn down by the scheduler's ``close()``.
 
     Replica consistency: the pool tracks the revision its replicas are
     synced to and computes each round's sync payload with
@@ -502,7 +461,6 @@ class WorkerPool:
         self,
         size: int,
         *,
-        columnar: bool = False,
         shared_memory: bool = False,
         shm_threshold: int = shm_transport.DEFAULT_THRESHOLD,
     ):
@@ -516,7 +474,6 @@ class WorkerPool:
                 "is unavailable on this platform"
             )
         self.size = size
-        self.columnar = columnar
         self.shared_memory = shared_memory
         self.shm_threshold = shm_threshold
         self._connections: list = []
@@ -561,7 +518,7 @@ class WorkerPool:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, self.columnar),
+                args=(child_conn,),
                 daemon=True,
             )
             process.start()

@@ -40,11 +40,10 @@ class MatcherStats:
     how run-scoped deltas (``ChaseResult.telemetry``, ``repro analyze
     --json``) read it.
 
-    The counters are exact for the sequential engines (which is what the
-    benchmarks measure).  Under the parallel scheduler's thread pool the
-    unsynchronized ``+=`` updates may race and undercount, and process
-    workers don't report back at all — treat the numbers as sequential
-    diagnostics, not parallel-run accounting.
+    The counters are exact for the in-process engines (which is what the
+    benchmarks measure).  Persistent-pool worker processes count in their
+    own address space and don't report back — treat the numbers as
+    parent-side diagnostics, not pool-wide accounting.
     """
 
     __slots__ = ("searches", "candidates")

@@ -94,7 +94,7 @@ class RoundRecorder:
         self.plan: str | None = None
         #: Size of the round's enumeration delta (None on the naive engine).
         self.delta_atoms: int | None = None
-        #: Per-shard wire byte weights routed this round (parallel engines).
+        #: Per-shard wire byte weights routed this round (persistent engine).
         self.shard_weights: tuple[int, ...] | None = None
 
     def add_phase(self, name: str, seconds: float) -> None:

@@ -2,8 +2,7 @@
 
 Certain-answer semantics ``⟨R, I⟩ ⊨ Q(t̄)`` is served by the front door
 :func:`repro.serving.answer` (goal-directed chase, UCQ rewriting, or
-their hybrid — with budgets, engine selection and verdicts); the
-:func:`certain_answer` here is a deprecated thin alias onto it.  The
+their hybrid — with budgets, engine selection and verdicts).  The
 instance-level checks below are the evaluation primitives serving builds
 on; each accepts an optional ``trace`` recording the probe as one
 ``plan="probe"`` round, so their cost shows up in the same structured
@@ -12,7 +11,6 @@ traces as chase rounds.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, Sequence
 
 from repro.logic.homomorphisms import find_homomorphism, homomorphisms
@@ -22,7 +20,6 @@ from repro.logic.terms import Term
 from repro.obs.trace import RunTrace
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UCQ
-from repro.rules.ruleset import RuleSet
 
 
 def _seed_for(
@@ -136,41 +133,3 @@ def answers(
     for hom in homomorphisms(query.atoms, instance):
         result.add(tuple(hom.apply_term(v) for v in query.answers))
     return result
-
-
-def certain_answer(
-    instance: Instance,
-    rules: RuleSet,
-    query: ConjunctiveQuery | UCQ,
-    bindings: Sequence[Term] = (),
-    max_levels: int = 6,
-) -> bool:
-    """``⟨R, I⟩ ⊨ Q(t̄)`` on a chase prefix of depth ``max_levels``.
-
-    .. deprecated::
-        Use :func:`repro.serving.answer` — the same verdict with
-        strategy selection, goal-directed early stopping, engine/worker
-        passthrough, tracing and an explicit soundness/completeness
-        verdict.  This alias delegates to
-        ``answer(..., strategy="chase")``, which returns identical
-        verdicts (the goal-directed run stops early on a witness and
-        prunes query-irrelevant rules, but is per-level complete for the
-        query, so equal depth budgets decide identically).
-    """
-    warnings.warn(
-        "certain_answer() is deprecated; use repro.serving.answer() "
-        "(strategy='chase' reproduces this behavior)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Imported lazily: serving sits above queries in the layering.
-    from repro.serving import answer
-
-    return answer(
-        instance,
-        rules,
-        query,
-        bindings,
-        strategy="chase",
-        max_levels=max_levels,
-    ).entailed

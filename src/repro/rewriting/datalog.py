@@ -13,21 +13,16 @@ chase variants run on, minus trigger identity and provenance (a
 saturation only needs the atom set) — and selects how rounds execute
 through the engine registry:
 
-* ``"parallel"`` (the default runs it inline at one worker, see
-  :data:`DEFAULT_CLOSURE_ENGINE`): the sharded round scheduler's batched
-  *derivation mode* — heads of a whole round are instantiated in one
-  amortized pass straight from the delta homomorphisms, with no trigger
-  identity or canonical ordering.
-* ``"delta"``: the sequential trigger-mode inner loop shared with the
-  chase — canonical per-rule trigger streams, one head instantiation per
-  trigger.  The reference the parallel engine is benchmarked against
-  (``benchmarks/bench_exp13_parallel.py``).
+* ``"delta"`` (the default, :data:`DEFAULT_CLOSURE_ENGINE`): batched
+  *derivation mode*, inline — the heads of a whole round are instantiated
+  in one amortized pass straight from the delta homomorphisms, with no
+  trigger objects, trigger identity or canonical ordering.
 * ``"naive"``: classic naive Datalog evaluation — every round re-derives
   from the whole instance.
-* ``"persistent"``: the parallel derivation mode on persistent delta-fed
-  process workers — replicas seeded once, each round ships only the new
-  atoms (for closures whose per-round matching is heavy enough to beat
-  the IPC on multicore builds).
+* ``"persistent"``: the same derivation mode sharded across persistent
+  delta-fed process workers — replicas seeded once, each round ships
+  only the new atoms (for closures whose per-round matching is heavy
+  enough to beat the IPC on multicore machines).
 
 All engines produce the identical closure (a saturation is a set
 fixpoint); used by the analysis module and available as a public API for
@@ -44,13 +39,10 @@ from repro.logic.instances import Instance
 from repro.rules.ruleset import RuleSet
 
 
-#: The closure's default: the parallel engine's batched derivation mode
-#: run inline (no pool).  The measured win over ``"delta"`` comes from
-#: batching, not thread fan-out (see benchmarks/results/exp13_parallel.txt:
-#: workers=1 is the fastest configuration on a single-core GIL build), so
-#: the default skips pool spin-up; pass ``engine="parallel"`` or an
-#: explicit :class:`EngineConfig` to fan out on multicore builds.
-DEFAULT_CLOSURE_ENGINE = EngineConfig("parallel", workers=1)
+#: The closure's default: the inline batched derivation of ``"delta"``
+#: (see benchmarks/results/exp13_parallel.txt); pass ``"persistent"`` or
+#: an explicit :class:`EngineConfig` to fan out on multicore machines.
+DEFAULT_CLOSURE_ENGINE = "delta"
 
 
 class ClosurePolicy(VariantPolicy):

@@ -76,8 +76,7 @@ class AnswerResult:
     entailed:
         ``⟨R, I⟩ ⊨ Q(t̄)`` as far as the run could tell.  In
         answer-enumeration mode this is the Boolean reading of the query
-        with its answer variables left free (matching the deprecated
-        ``certain_answer`` behavior).
+        with its answer variables left free.
     tuples:
         The certain answer tuples found (constants only), or ``None`` in
         decision mode (Boolean query or explicit bindings).
@@ -171,7 +170,6 @@ def answer(
     *,
     strategy: str = "auto",
     engine: str | EngineConfig = "delta",
-    workers: int | None = None,
     prune: bool = True,
     max_levels: int = DEFAULT_MAX_LEVELS,
     max_atoms: int = DEFAULT_MAX_ATOMS,
@@ -192,10 +190,11 @@ def answer(
     strategy:
         ``"auto"``, ``"chase"``, ``"rewrite"`` or ``"hybrid"`` — see the
         module docstring's decision table.
-    engine, workers:
+    engine:
         The chase execution engine (name or
-        :class:`~repro.engine.config.EngineConfig`) and an optional
-        worker-pool override for the parallel backends.
+        :class:`~repro.engine.config.EngineConfig`); tune the persistent
+        pool with :meth:`EngineConfig.with_workers
+        <repro.engine.config.EngineConfig.with_workers>`.
     prune:
         Restrict the chase to the query-relevant rule fragment
         (:func:`repro.serving.relevance.relevant_rules`).  Per-level
@@ -215,8 +214,6 @@ def answer(
             f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}"
         )
     config = resolve_engine(engine)
-    if workers is not None:
-        config = config.with_workers(workers)
     with default_registry().collect() as scope:
         SERVING_STATS.requests += 1
         result = _serve(

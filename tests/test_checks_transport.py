@@ -1,7 +1,7 @@
 """Fixture tests for the transport-boundary pass (T201-T204).
 
-The pass is scoped to ``src/repro/engine/``: pickling belongs to the two
-envelope modules (workers.py, scheduler.py), domain objects go through
+The pass is scoped to ``src/repro/engine/``: pickling belongs to the
+envelope module (workers.py), domain objects go through
 the wire codec, pipes carry explicit byte payloads, and replies come
 from pack_reply.
 """
@@ -35,6 +35,21 @@ def test_pickle_outside_envelope_modules_is_flagged():
             return pickle.dumps(table.rows)
         """,
         rel="src/repro/engine/columnar.py",
+    )
+    assert rules(live) == ["T201"]
+
+
+def test_pickle_in_the_scheduler_is_flagged():
+    # The round scheduler hands every payload to the worker pool; a
+    # pickle reappearing there is a second serializer next to the codec.
+    live, _ = run(
+        """
+        import pickle
+
+        def ship_context(rules, snapshot):
+            return pickle.dumps(("context", rules, snapshot))
+        """,
+        rel="src/repro/engine/scheduler.py",
     )
     assert rules(live) == ["T201"]
 

@@ -1,18 +1,19 @@
-"""The columnar id-native instance: one encoding from store to wire.
+"""The columnar id-native instance: worker replicas in the wire's id space.
 
 Three angles:
 
-* store semantics — id-native add/dedup/membership, vocabulary sharing
-  with encoder and decoder tables, wire-log slicing
-  (``packed_delta_since`` byte-equal to a fresh ``encode_atoms`` of the
-  same rows, ``ingest_packed`` copying spans verbatim);
+* store semantics — id-native ingest/dedup/membership of buffers packed
+  by :meth:`WireEncoder.encode_atoms
+  <repro.engine.wire.WireEncoder.encode_atoms>` (exactly the worker
+  protocol's seed/sync/pivot path), vocabulary sharing with the decoder
+  tables, truncated-stream errors;
 * matcher-API parity — ``count`` / ``position_count`` /
   ``sorted_with_predicate`` / ``matching_position`` / iteration agree
   *exactly* (including order) with an object-level
   :class:`~repro.logic.instances.Instance` holding the same atoms, which
   is what makes columnar worker replicas bit-identical;
-* integration — columnar tracked :class:`ShardedIndex` shards and the
-  ``delta_since`` append-only fast path the pool's sync hot loop rides.
+* the ``delta_since`` append-only fast path the pool's sync hot loop
+  rides.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import pytest
 from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
 from repro.engine.core import delta_homomorphisms
-from repro.engine.shards import ShardedIndex
 from repro.engine.wire import WireDecoder, WireEncoder
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
@@ -54,20 +54,29 @@ def _random_atoms(rng, n):
     return atoms
 
 
-def _parent_store(atoms):
-    """An encoder-vocabulary store with ``atoms`` interned through it."""
+def _ship(encoder, decoder, store, atoms):
+    """One sync message: pack ``atoms``, replay the table segment the
+    replica has not seen, fold the buffer in; return the new-row count."""
+    marks = encoder.marks()
+    buf = encoder.encode_atoms(atoms)
+    decoder.apply_segment(encoder.segment(*marks))
+    return store.ingest_packed(buf)
+
+
+def _replica(atoms):
+    """A worker-side replica seeded with ``atoms`` through the codec."""
     encoder = WireEncoder()
-    store = ColumnarInstance(Vocabulary.of_encoder(encoder))
-    for atom in atoms:
-        store.add_atom(atom, encoder)
-    return encoder, store
+    decoder = WireDecoder()
+    store = ColumnarInstance(Vocabulary.of_decoder(decoder))
+    _ship(encoder, decoder, store, atoms)
+    return encoder, decoder, store
 
 
 class TestStoreSemantics:
     def test_add_dedup_len_contains(self):
         a, b = _constants(2)
-        encoder, store = _parent_store([Atom(E, (a, b)), Atom(MARK, ())])
-        assert not store.add_atom(Atom(E, (a, b)), encoder)
+        encoder, decoder, store = _replica([Atom(E, (a, b)), Atom(MARK, ())])
+        assert _ship(encoder, decoder, store, [Atom(E, (a, b))]) == 0
         assert len(store) == 2
         assert Atom(E, (a, b)) in store
         assert Atom(MARK, ()) in store
@@ -79,88 +88,39 @@ class TestStoreSemantics:
 
     def test_vocabulary_is_shared_by_reference(self):
         a, b, c = _constants(3)
-        encoder, store = _parent_store([Atom(E, (a, b))])
-        # Interning a new symbol after store creation is visible to the
-        # store without any sync step.
-        store.add_atom(Atom(F, (b, c)), encoder)
+        encoder, decoder, store = _replica([Atom(E, (a, b))])
+        # Symbols the decoder learns after store creation are visible to
+        # the store without any sync step of its own.
+        assert _ship(encoder, decoder, store, [Atom(F, (b, c))]) == 1
         assert Atom(F, (b, c)) in store
         assert store.count(F) == 1
-
-    def test_packed_delta_is_byte_equal_to_encoder_output(self):
-        # The store interns symbols in first-occurrence order, exactly as
-        # a fresh encoder packing the deduplicated stream would — so the
-        # sliced wire log is byte-identical to a from-scratch encode.
-        rng = random.Random(7)
-        atoms = _random_atoms(rng, 40)
-        _, store = _parent_store(atoms)
-        distinct = list(dict.fromkeys(atoms))
-        assert store.packed_delta_since(0) == WireEncoder().encode_atoms(
-            distinct
-        )
-
-    def test_packed_delta_mid_revision_is_a_suffix_slice(self):
-        a, b, c = _constants(3)
-        encoder, store = _parent_store([Atom(E, (a, b)), Atom(E, (b, c))])
-        mark = store.revision
-        whole_before = store.packed_delta_since(0)
-        store.add_atom(Atom(F, (c, a)), encoder)
-        whole = store.packed_delta_since(0)
-        suffix = store.packed_delta_since(mark)
-        assert whole == whole_before + suffix
-        assert store.packed_delta_since(store.revision) == b""
-
-    def test_packed_delta_revision_out_of_range(self):
-        _, store = _parent_store([Atom(MARK, ())])
-        with pytest.raises(ChaseError):
-            store.packed_delta_since(store.revision + 1)
-        with pytest.raises(ChaseError):
-            store.packed_delta_since(-1)
 
     def test_ingest_packed_round_trip_and_dedup(self):
         rng = random.Random(11)
         atoms = _random_atoms(rng, 30)
-        encoder, store = _parent_store(atoms)
-        buf = store.packed_delta_since(0)
-        decoder = WireDecoder()
-        decoder.apply_segment(encoder.segment(0, 0))
-        replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
-        assert replica.ingest_packed(buf) == len(store)
+        encoder, _, replica = _replica(atoms)
+        distinct = list(dict.fromkeys(atoms))
+        assert len(replica) == len(distinct)
+        assert sorted(replica) == sorted(distinct)
         # Re-ingesting the same buffer adds nothing.
+        buf = encoder.encode_atoms(atoms)
         assert replica.ingest_packed(buf) == 0
-        assert sorted(replica) == sorted(store)
-        # The replica re-serves the exact bytes it ingested: one
-        # encoding per row, ever.
-        assert replica.packed_delta_since(0) == buf
+        # One row per packed atom, stored under the encoder's own ids.
+        arity = lambda p: replica.vocabulary.predicates[p].arity
+        assert len(list(wire.iter_atom_rows(buf, arity))) == len(atoms)
+        for atom in distinct:
+            ids = wire.unpack_ids(encoder.encode_atoms([atom]))
+            assert replica.contains_row(ids[0], tuple(ids[1:]))
 
     def test_ingest_packed_truncated_stream_raises(self):
         a, b = _constants(2)
-        encoder, store = _parent_store([Atom(E, (a, b))])
-        buf = store.packed_delta_since(0)
+        encoder = WireEncoder()
+        buf = encoder.encode_atoms([Atom(E, (a, b))])
         decoder = WireDecoder()
         decoder.apply_segment(encoder.segment(0, 0))
         replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
         with pytest.raises(ChaseError):
             replica.ingest_packed(buf[:-1])
-
-    def test_delta_atoms_and_rows_since(self):
-        a, b, c = _constants(3)
-        encoder, store = _parent_store([Atom(E, (a, b))])
-        mark = store.revision
-        store.add_atom(Atom(E, (b, c)), encoder)
-        store.add_atom(Atom(TAG, (a,)), encoder)
-        assert store.delta_atoms_since(mark) == [
-            Atom(E, (b, c)),
-            Atom(TAG, (a,)),
-        ]
-        assert store.delta_atoms_since(0) == [
-            Atom(E, (a, b)),
-            Atom(E, (b, c)),
-            Atom(TAG, (a,)),
-        ]
-        assert store.delta_atoms_since(store.revision) == []
-        rows = list(store.delta_rows_since(mark))
-        assert len(rows) == 2
-        assert all(isinstance(p, int) for p, _ in rows)
 
 
 class TestMatcherParity:
@@ -168,7 +128,7 @@ class TestMatcherParity:
 
     def _pair(self, seed=3, n=60):
         atoms = _random_atoms(random.Random(seed), n)
-        _, store = _parent_store(atoms)
+        _, _, store = _replica(atoms)
         return store, Instance(atoms, add_top=False)
 
     def test_counts_and_membership(self):
@@ -209,10 +169,10 @@ class TestMatcherParity:
 
     def test_caches_invalidate_on_append(self):
         a, b, c = _constants(3)
-        encoder, store = _parent_store([Atom(E, (b, c))])
+        encoder, decoder, store = _replica([Atom(E, (b, c))])
         first = store.sorted_with_predicate(E)
         assert first == (Atom(E, (b, c)),)
-        store.add_atom(Atom(E, (a, b)), encoder)
+        _ship(encoder, decoder, store, [Atom(E, (a, b))])
         assert store.sorted_with_predicate(E) == (
             Atom(E, (a, b)),
             Atom(E, (b, c)),
@@ -228,8 +188,10 @@ class TestMatcherParity:
             for i in range(5)
         ]
         pivots = atoms[2:4]
-        _, store = _parent_store(atoms)
-        _, view = _parent_store(pivots)
+        encoder, _, store = _replica(atoms)
+        # The worker's pivot view shares the replica's vocabulary.
+        view = ColumnarInstance(store.vocabulary)
+        view.ingest_packed(encoder.encode_atoms(pivots))
         reference = list(
             delta_homomorphisms(
                 rule, Instance(atoms, add_top=False),
@@ -239,60 +201,6 @@ class TestMatcherParity:
         columnar = list(delta_homomorphisms(rule, store, view))
         assert columnar == reference
         assert reference  # the workload actually matched something
-
-
-class TestColumnarShardedIndex:
-    def test_columnar_shards_require_tracking(self):
-        with pytest.raises(ChaseError):
-            ShardedIndex(2, track_shards=False, encoder=WireEncoder())
-
-    def test_packed_deltas_served_by_slicing(self):
-        encoder = WireEncoder()
-        index = ShardedIndex(3, encoder=encoder)
-        rng = random.Random(5)
-        first = _random_atoms(rng, 25)
-        index.ingest(first)
-        marks = index.revision_marks()
-        second = [a for a in _random_atoms(rng, 25) if a not in set(first)]
-        index.ingest(second)
-        packed = index.packed_deltas_since(marks)
-        deltas = index.deltas_since(marks)
-        # Each shard's packed buffer decodes to exactly its delta atoms.
-        decoder = WireDecoder()
-        decoder.apply_segment(encoder.segment(0, 0))
-        for buf, delta in zip(packed, deltas):
-            assert decoder.decode_atoms(buf) == list(delta)
-        # The union of the deltas is the second batch, deduplicated.
-        merged = [a for delta in deltas for a in delta]
-        assert sorted(merged) == sorted(set(second))
-
-    def test_columnar_and_object_shards_agree(self):
-        rng = random.Random(9)
-        atoms = _random_atoms(rng, 40)
-        encoder = WireEncoder()
-        columnar = ShardedIndex(4, encoder=encoder)
-        plain = ShardedIndex(4)
-        columnar.ingest(atoms)
-        plain.ingest(atoms)
-        assert columnar.sizes() == plain.sizes()
-        assert columnar.weights() == plain.weights()
-        for i in range(4):
-            assert sorted(columnar.shard(i)) == sorted(plain.shard(i))
-
-    def test_tracked_dedup_across_batches(self):
-        a, b = _constants(2)
-        index = ShardedIndex(2, encoder=WireEncoder())
-        views = index.ingest([Atom(E, (a, b))])
-        assert sum(len(v) for v in views) == 1
-        views = index.ingest([Atom(E, (a, b)), Atom(F, (a, b))])
-        assert sum(len(v) for v in views) == 1
-        assert len(index) == 2
-
-    def test_object_shards_still_need_encoder_to_pack(self):
-        index = ShardedIndex(2)
-        index.ingest([Atom(MARK, ())])
-        with pytest.raises(ChaseError):
-            index.packed_deltas_since(index.revision_marks())
 
 
 class TestDeltaSinceFastPath:

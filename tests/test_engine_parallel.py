@@ -1,13 +1,16 @@
-"""The engine subsystem: registry, sharding, parallel equivalence.
+"""The engine subsystem: registry, sharding, sharded-merge equivalence.
 
-The parallel engine's contract is the strongest the library makes: for
+The sharded scheduler's contract is the strongest the library makes: for
 every chase variant, every corpus workload, and *every* worker/shard
-count, ``engine="parallel"`` must produce a :class:`ChaseResult` that is
-bit-identical to the sequential delta engine — same atoms, levels,
+count, ``engine="persistent"`` must produce a :class:`ChaseResult` that
+is bit-identical to the sequential delta engine — same atoms, levels,
 termination flag, timestamps, null names and provenance records.  The
-suite pins that contract, the registry's error behavior, the sharded
-index, the batched firing path, the Datalog closure engines, and the
-index-seeded satisfaction fast path of the restricted chase.
+full workload matrix here runs the multi-shard merge inline
+(``workers=1``, several shards, no processes); the process pool's slice
+of it lives in ``test_engine_persistent.py``.  The suite also pins the
+registry's error behavior, the sharded index, the batched firing path,
+the Datalog closure engines, and the index-seeded satisfaction fast path
+of the restricted chase.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.engine import (
     EngineConfig,
     RoundScheduler,
     ShardedIndex,
+    WorkerPool,
     available_engines,
     register_engine,
     resolve_engine,
@@ -44,6 +48,11 @@ from repro.errors import ChaseError
 from repro.logic.atoms import atom
 from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_instance, parse_rules
+
+
+#: The persistent engine's scheduler at one worker: the delta splits into
+#: three hash shards whose matches merge inline — no processes.
+INLINE_SHARDED = EngineConfig("persistent", workers=1, shards=3)
 
 
 def assert_bit_identical(a, b):
@@ -120,9 +129,15 @@ VARIANTS = [
 
 class TestRegistry:
     def test_available_engines(self):
-        assert available_engines() == (
-            "delta", "naive", "parallel", "persistent",
-        )
+        assert available_engines() == ("delta", "naive", "persistent")
+
+    def test_parallel_mode_is_rejected_listing_valid_modes(self):
+        with pytest.raises(ChaseError) as excinfo:
+            EngineConfig("parallel")
+        message = str(excinfo.value)
+        assert "'parallel'" in message and "valid modes" in message
+        for mode in ("delta", "naive", "persistent"):
+            assert mode in message
 
     def test_unknown_engine_is_chase_error_listing_names(self):
         with pytest.raises(ChaseError) as excinfo:
@@ -145,43 +160,43 @@ class TestRegistry:
                 runner()
 
     def test_explicit_config_passes_through(self):
-        config = EngineConfig("parallel", workers=2, shards=8)
+        config = EngineConfig("persistent", workers=2, shards=8)
         assert resolve_engine(config) is config
         assert config.shard_count == 8
-        assert EngineConfig("parallel", workers=3).shard_count == 3
+        assert EngineConfig("persistent", workers=3).shard_count == 3
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ChaseError):
-            EngineConfig("parallel", workers=0)
+            EngineConfig("persistent", workers=0)
         with pytest.raises(ChaseError):
-            EngineConfig("parallel", shards=-1)
+            EngineConfig("persistent", shards=-1)
 
     def test_register_engine_roundtrip(self):
-        preset = EngineConfig("parallel", workers=2, use_processes=True)
+        original = resolve_engine("persistent")
         with pytest.raises(ChaseError):
             register_engine(EngineConfig("delta"))  # name taken
         register_engine(
-            EngineConfig("parallel", workers=2), replace_existing=True
+            EngineConfig("persistent", workers=2), replace_existing=True
         )
         try:
-            assert resolve_engine("parallel").workers == 2
+            assert resolve_engine("persistent").workers == 2
         finally:
-            register_engine(
-                EngineConfig("parallel", workers=4), replace_existing=True
-            )
-        assert preset.use_processes
+            register_engine(original, replace_existing=True)
+        assert resolve_engine("persistent") is original
 
     def test_custom_named_preset_dispatches_by_mode(self):
         # A preset under a new name must actually run its mode's engine.
         rules = parse_rules("E(x,y), E(y,z) -> F(x,z)")
-        register_engine(EngineConfig("turbo", mode="parallel", workers=2))
+        register_engine(
+            EngineConfig("turbo", mode="persistent", workers=1, shards=3)
+        )
         try:
             reference = oblivious_chase(path_instance(6), rules, max_levels=3)
             run = oblivious_chase(
                 path_instance(6), rules, max_levels=3, engine="turbo"
             )
             assert_bit_identical(run, reference)
-            assert resolve_engine("turbo").is_parallel
+            assert resolve_engine("turbo").is_persistent
         finally:
             import repro.engine.config as config_module
 
@@ -212,28 +227,6 @@ class TestShardedIndex:
         for i, view in enumerate(views):
             for a in view:
                 assert index.shard_of(a) == i
-                assert a in index.shard(i)
-
-    def test_reingested_atoms_do_not_reappear(self):
-        index = ShardedIndex(2)
-        a = atom("P", "x0")
-        first = index.ingest([a])
-        assert sum(len(v) for v in first) == 1
-        second = index.ingest([a])
-        assert sum(len(v) for v in second) == 0
-        assert len(index) == 1
-
-    def test_per_shard_delta_since_views(self):
-        index = ShardedIndex(2)
-        batch1 = [atom("E", f"x{i}", f"x{i+1}") for i in range(4)]
-        index.ingest(batch1)
-        marks = index.revision_marks()
-        batch2 = [atom("F", f"x{i}", f"x{i+1}") for i in range(4)]
-        index.ingest(batch2)
-        deltas = index.deltas_since(marks)
-        assert sorted(a for d in deltas for a in d) == sorted(batch2)
-        with pytest.raises(ChaseError):
-            index.deltas_since((0,))  # wrong arity
 
     def test_shard_count_validated(self):
         with pytest.raises(ChaseError):
@@ -246,68 +239,57 @@ class TestShardedIndex:
         atoms = [atom("E", f"x{i}", f"x{i+1}") for i in range(12)]
         atoms.append(atom("Wide", "a", "b", "c", "d", "e"))
         index.ingest(atoms)
-        # Per-shard weights sum to the total estimate, mirror the count
-        # distribution, and a re-ingested atom adds nothing.
+        # Per-shard weights sum to the total estimate and mirror the count
+        # distribution.
         assert sum(index.weights()) == sum(atom_weight(a) for a in atoms)
         for count, weight in zip(index.sizes(), index.weights()):
             assert (count == 0) == (weight == 0)
-        index.ingest([atoms[0]])
-        assert sum(index.weights()) == sum(atom_weight(a) for a in atoms)
         # Arity-aware: the wide atom weighs more than a binary one.
         assert atom_weight(atoms[-1]) > atom_weight(atoms[0])
 
-    def test_untracked_mode_routes_views_without_cumulative_copies(self):
-        # The scheduler's configuration: views and counters only.
-        index = ShardedIndex(2, track_shards=False)
-        atoms = [atom("E", f"x{i}", f"x{i+1}") for i in range(6)]
-        views = index.ingest(atoms)
-        assert sorted(a for v in views for a in v) == sorted(atoms)
-        assert sum(index.sizes()) == len(index) == len(atoms)
-        for accessor in (
-            lambda: index.shard(0),
-            index.shards,
-            index.revision_marks,
-            lambda: index.deltas_since((0, 0)),
-        ):
-            with pytest.raises(ChaseError, match="track_shards"):
-                accessor()
-
 
 # ----------------------------------------------------------------------
-# Cross-engine equivalence: parallel == delta == naive
+# Cross-engine equivalence: sharded == delta == naive
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name,instance,rules,levels", WORKLOADS, ids=IDS)
 @pytest.mark.parametrize("variant,run", VARIANTS, ids=[v[0] for v in VARIANTS])
-class TestParallelEquivalence:
-    def test_parallel_matches_delta_and_naive(
+class TestShardedEquivalence:
+    def test_sharded_matches_delta_and_naive(
         self, variant, run, name, instance, rules, levels
     ):
         delta = run(instance, rules, levels, "delta")
         naive = run(instance, rules, levels, "naive")
-        parallel = run(instance, rules, levels, "parallel")
-        assert_bit_identical(parallel, delta)
-        assert_bit_identical(parallel, naive)
+        sharded = run(instance, rules, levels, INLINE_SHARDED)
+        assert_bit_identical(sharded, delta)
+        assert_bit_identical(sharded, naive)
 
 
 class TestSchedulerDeterminism:
-    def test_worker_and_shard_counts_do_not_matter(self):
+    @pytest.mark.parametrize("shards", [1, 3, 8])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_and_shard_counts_do_not_matter(
+        self, workers, shards, monkeypatch
+    ):
         rules = parse_rules(
             "E(x,y) -> exists z. E(y,z)\nE(x,y), E(y,z) -> F(x,z)"
         )
         make = lambda: tournament_instance(6, seed=1)
         reference = oblivious_chase(make(), rules, max_levels=3)
-        for workers, shards in [(1, 1), (2, 2), (3, 5), (4, 1), (4, 16)]:
-            config = EngineConfig("parallel", workers=workers, shards=shards)
-            run = oblivious_chase(
-                make(), rules, max_levels=3, engine=config
-            )
-            assert_bit_identical(run, reference)
+        if workers == 1:
+            # One worker merges every shard inline: no process may start.
+            def no_processes(pool, count):
+                raise AssertionError("workers=1 spawned worker processes")
+
+            monkeypatch.setattr(WorkerPool, "_spawn", no_processes)
+        config = EngineConfig("persistent", workers=workers, shards=shards)
+        run = oblivious_chase(make(), rules, max_levels=3, engine=config)
+        assert_bit_identical(run, reference)
 
     def test_repeated_runs_are_identical(self):
         rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
-        config = EngineConfig("parallel", workers=4)
+        config = EngineConfig("persistent", workers=2)
         reference = restricted_chase(
             path_instance(7), rules, max_rounds=6, engine=config
         )
@@ -363,18 +345,8 @@ class TestSchedulerDeterminism:
                     cwd=pathlib.Path(__file__).parent.parent,
                 )
 
-    def test_process_pool_smoke(self):
-        # Opt-in process pool: same contract, tiny workload (fork cost).
-        rules = parse_rules("E(x,y), E(y,z) -> F(x,z)")
-        config = EngineConfig("parallel", workers=2, use_processes=True)
-        sequential = oblivious_chase(path_instance(5), rules, max_levels=2)
-        parallel = oblivious_chase(
-            path_instance(5), rules, max_levels=2, engine=config
-        )
-        assert_bit_identical(parallel, sequential)
-
     def test_scheduler_context_manager_closes_pool(self):
-        config = EngineConfig("parallel", workers=2)
+        config = EngineConfig("persistent", workers=2)
         with RoundScheduler(config) as scheduler:
             inst = path_instance(4)
             rules = list(parse_rules("E(x,y), E(y,z) -> F(x,z)"))
@@ -385,7 +357,7 @@ class TestSchedulerDeterminism:
             images = [image for image, _ in per_rule[0]]
             assert images == sorted(images)
             assert sum(scheduler.shard_sizes()) == len(inst)
-        assert scheduler._executor is None
+        assert scheduler._worker_pool is None
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +368,7 @@ class TestSchedulerDeterminism:
 class TestBudgetsThroughBatchedFiring:
     def test_partial_results_match_on_atom_budget(self):
         rules = parse_rules("E(x,y) -> exists z. E(y,z)")
-        for engine in ("delta", "parallel"):
+        for engine in ("delta", INLINE_SHARDED):
             result = oblivious_chase(
                 tournament_instance(6, seed=0),
                 rules,
@@ -410,13 +382,13 @@ class TestBudgetsThroughBatchedFiring:
             tournament_instance(6, seed=0), rules, max_levels=5,
             max_atoms=40,
         )
-        parallel = oblivious_chase(
+        sharded = oblivious_chase(
             tournament_instance(6, seed=0), rules, max_levels=5,
-            max_atoms=40, engine="parallel",
+            max_atoms=40, engine=INLINE_SHARDED,
         )
-        assert_bit_identical(delta, parallel)
+        assert_bit_identical(delta, sharded)
 
-    def test_strict_budget_raises_for_parallel(self):
+    def test_strict_budget_raises_for_sharded(self):
         from repro.errors import ChaseBudgetExceeded
 
         rules = parse_rules("E(x,y) -> exists z. E(y,z)")
@@ -427,7 +399,7 @@ class TestBudgetsThroughBatchedFiring:
                 max_levels=5,
                 max_atoms=40,
                 strict=True,
-                engine="parallel",
+                engine=INLINE_SHARDED,
             )
 
 
@@ -447,18 +419,32 @@ class TestClosureEngines:
         )
         inst = parse_instance("E(a,b), E(b,c), E(c,a)")
         chased = oblivious_chase(inst, rules, max_levels=10).instance
-        for engine in ("parallel", "delta", "naive"):
+        for engine in (INLINE_SHARDED, "delta", "naive"):
             assert semi_naive_closure(inst, rules, engine=engine) == chased
 
     def test_worker_counts_agree_on_corpus(self):
         rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
         reference = semi_naive_closure(path_instance(12), rules, engine="delta")
-        for workers in (1, 2, 4):
-            config = EngineConfig("parallel", workers=workers)
+        for workers, shards in ((1, 1), (1, 4), (2, 0)):
+            config = EngineConfig("persistent", workers=workers, shards=shards)
             assert (
                 semi_naive_closure(path_instance(12), rules, engine=config)
                 == reference
             )
+
+    def test_delta_closure_builds_no_triggers(self, monkeypatch):
+        # The delta closure derives heads straight from the matcher's
+        # bindings; a Trigger object on that path is wasted work.
+        from repro.chase.trigger import Trigger
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the delta closure constructed a Trigger")
+
+        monkeypatch.setattr(Trigger, "__init__", refuse)
+        rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
+        closure = semi_naive_closure(path_instance(12), rules, engine="delta")
+        # 13 path nodes: one E-atom per ordered pair, plus top.
+        assert len(closure) == 13 * 12 // 2 + 1
 
     def test_closure_budget_still_enforced(self):
         from repro.errors import ChaseBudgetExceeded

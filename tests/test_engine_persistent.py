@@ -1,20 +1,17 @@
 """Persistent delta-fed workers and sharded firing: the process-mode suite.
 
-Extends the engine-equivalence suite over the two process backends —
-legacy ``use_processes=True`` (per-round context pickles, now cached per
-revision) and the persistent :class:`~repro.engine.workers.WorkerPool`
-(replicas seeded once, per-round delta sync, sharded firing) — asserting
-bit-identical instances, provenance order, timestamps, null names and
-budget-stop positions against the sequential ``delta`` engine.
+Extends the engine-equivalence suite over the persistent
+:class:`~repro.engine.workers.WorkerPool` (replicas seeded once,
+per-round delta sync, sharded firing) — asserting bit-identical
+instances, provenance order, timestamps, null names and budget-stop
+positions against the sequential ``delta`` engine.
 
 Process pools fork per run, so this file parametrizes over a reduced but
 structurally diverse slice of the corpus workloads; the full workload
-matrix runs thread-mode in ``test_engine_parallel.py``.
+matrix runs the inline multi-shard merge in ``test_engine_parallel.py``.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -25,7 +22,6 @@ from repro.corpus.generators import path_instance, tournament_instance
 from repro.engine import (
     TRANSPORT_STATS,
     EngineConfig,
-    RoundScheduler,
     WorkerPool,
     resolve_engine,
 )
@@ -51,7 +47,6 @@ PROCESS_WORKLOADS = [w for w in WORKLOADS if w[0] in PROCESS_WORKLOAD_NAMES]
 PROCESS_IDS = [w[0] for w in PROCESS_WORKLOADS]
 
 PROCESS_MODES = [
-    ("legacy_processes", EngineConfig("parallel", workers=2, use_processes=True)),
     ("persistent", EngineConfig("persistent", workers=2)),
 ]
 
@@ -62,41 +57,29 @@ PROCESS_MODES = [
 
 
 class TestPersistentConfig:
-    def test_persistent_name_normalizes_to_parallel_mode(self):
+    def test_persistent_is_its_own_mode(self):
         config = resolve_engine("persistent")
-        assert config.mode == "parallel"
-        assert config.is_parallel
+        assert config.mode == "persistent"
         assert config.is_persistent
+        # Read-only alias kept for provenance readers.
         assert config.persistent_workers
-
-    def test_explicit_knob_on_parallel_mode(self):
-        config = EngineConfig("parallel", workers=3, persistent_workers=True)
-        assert config.is_persistent
         assert config.with_workers(2).is_persistent
-
-    def test_persistent_requires_parallel_mode(self):
-        with pytest.raises(ChaseError, match="parallel-mode"):
-            EngineConfig("delta", persistent_workers=True)
+        assert not resolve_engine("delta").persistent_workers
 
     def test_persistent_spelled_as_mode(self):
         config = EngineConfig("custom", mode="persistent", workers=2)
-        assert config.mode == "parallel"
+        assert config.mode == "persistent"
         assert config.is_persistent
 
     def test_adaptive_routing_requires_persistent_workers(self):
         config = EngineConfig("persistent", workers=2, adaptive_routing=True)
         assert config.adaptive_routing
-        # The executor backends have no shard→worker placement to
-        # balance, so the knob is rejected rather than silently ignored.
-        with pytest.raises(ChaseError, match="adaptive_routing"):
-            EngineConfig("parallel", workers=2, adaptive_routing=True)
-        with pytest.raises(ChaseError, match="adaptive_routing"):
-            EngineConfig(
-                "parallel", workers=2, use_processes=True,
-                adaptive_routing=True,
-            )
+        # The inline engines have no shard→worker placement to balance,
+        # so the knob is rejected rather than silently ignored.
         with pytest.raises(ChaseError, match="adaptive_routing"):
             EngineConfig("delta", adaptive_routing=True)
+        with pytest.raises(ChaseError, match="adaptive_routing"):
+            EngineConfig("naive", adaptive_routing=True)
 
 
 # ----------------------------------------------------------------------
@@ -458,45 +441,3 @@ class TestWorkerPoolFailureTeardown:
         with pytest.raises(ChaseError, match="broken"):
             pool._start()
 
-
-# ----------------------------------------------------------------------
-# Legacy process mode: context blob reuse
-# ----------------------------------------------------------------------
-
-
-class TestContextBlobReuse:
-    def test_same_revision_rounds_share_one_pickle(self):
-        config = EngineConfig("parallel", workers=2, use_processes=True)
-        rules = list(parse_rules("E(x,y), E(y,z) -> F(x,z)"))
-        instance = Instance(
-            [atom("E", f"x{i}", f"x{i + 1}") for i in range(8)]
-        )
-        delta = instance.sorted_atoms()
-        with RoundScheduler(config) as scheduler:
-            TRANSPORT_STATS.reset()
-            first = scheduler.enumerate_images(instance, rules, delta)
-            assert TRANSPORT_STATS.context_pickles == 1
-            # Unchanged instance + rules: the blob is reused verbatim.
-            second = scheduler.enumerate_images(instance, rules, delta)
-            assert TRANSPORT_STATS.context_pickles == 1
-            assert first == second
-            # A mutation bumps the revision and invalidates the cache
-            # (queried directly: a 1-atom delta round would run inline
-            # without pickling at all).
-            instance.add(atom("E", "y0", "y1"))
-            scheduler._context_blob(rules, instance)
-            assert TRANSPORT_STATS.context_pickles == 2
-
-    def test_blob_content_roundtrips(self):
-        config = EngineConfig("parallel", workers=2, use_processes=True)
-        rules = tuple(parse_rules("E(x,y) -> F(x,y)"))
-        instance = Instance([atom("E", "a", "b")])
-        scheduler = RoundScheduler(config)
-        try:
-            blob = scheduler._context_blob(rules, instance)
-            assert scheduler._context_blob(rules, instance) is blob
-            loaded_rules, loaded_instance = pickle.loads(blob)
-            assert loaded_rules == rules
-            assert loaded_instance == instance
-        finally:
-            scheduler.close()

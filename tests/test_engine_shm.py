@@ -295,15 +295,14 @@ class TestWorkerPoolSharedMemory:
             assert _round_images(shrunk) == _round_images(first)
         assert active_segments() == frozenset()
 
-    def test_shared_memory_with_object_replicas(self):
-        # shm is a transport concern: it composes with columnar=False
-        # (object replicas decode the same buffers off the segments).
+    def test_shared_memory_and_pipe_pools_agree(self):
+        # shm is a transport concern: replicas fold the same buffers
+        # whether they arrive on the pipe or off a segment.
         instance = _chain(15)
         delta = instance.sorted_atoms()
-        with WorkerPool(2, columnar=False, shared_memory=True,
-                        shm_threshold=64) as pool:
-            obj = pool.run_round("enumerate", RULES, instance, [delta, []])
+        with WorkerPool(2, shared_memory=True, shm_threshold=64) as pool:
+            shared = pool.run_round("enumerate", RULES, instance, [delta, []])
         with WorkerPool(2) as pool:
-            col = pool.run_round("enumerate", RULES, instance, [delta, []])
-        assert _round_images(obj) == _round_images(col)
+            piped = pool.run_round("enumerate", RULES, instance, [delta, []])
+        assert _round_images(shared) == _round_images(piped)
         assert active_segments() == frozenset()

@@ -290,28 +290,28 @@ class TestReplyCodec:
 
 
 # ----------------------------------------------------------------------
-# Packed per-shard deltas (weights and sync share one encoding)
+# Packed shard views (weights and pivots share one encoding)
 # ----------------------------------------------------------------------
 
 
-class TestPackedShardDeltas:
-    def test_packed_deltas_match_plain_deltas(self):
-        index = ShardedIndex(3, track_shards=True)
+class TestPackedShardViews:
+    def test_packed_views_round_trip_at_atom_weight(self):
+        # The scheduler's pivot path: each shard view of a round's delta
+        # is packed by the pool's encoder and decoded worker-side.
+        index = ShardedIndex(3)
         index.ingest([atom("E", f"A{i}", f"A{i + 1}") for i in range(6)])
-        marks = index.revision_marks()
         fresh = [atom("F", f"A{i}", f"A{i + 1}") for i in range(4)]
-        index.ingest(fresh)
+        views = [view.sorted_atoms() for view in index.ingest(fresh)]
         encoder = WireEncoder()
-        packed = index.packed_deltas_since(marks, encoder)
+        packed = [encoder.encode_atoms(view) for view in views]
         decoder = _synced_decoder(encoder)
-        plain = index.deltas_since(marks)
-        assert [decoder.decode_atoms(buf) for buf in packed] == plain
+        assert [decoder.decode_atoms(buf) for buf in packed] == views
         # Once the symbols are interned (and while ids fit one varint
         # byte, as in this small table), a shard's packed size is exactly
         # its atom_weight sum — the quantity the adaptive router balances.
-        repacked = index.packed_deltas_since(marks, encoder)
-        for buf, delta in zip(repacked, plain):
-            assert len(buf) == sum(atom_weight(a) for a in delta)
+        repacked = [encoder.encode_atoms(view) for view in views]
+        for buf, view in zip(repacked, views):
+            assert len(buf) == sum(atom_weight(a) for a in view)
 
 
 # ----------------------------------------------------------------------

@@ -175,7 +175,6 @@ class TestRoundRecorder:
 ENGINE_MATRIX = [
     pytest.param("delta", id="delta"),
     pytest.param("naive", id="naive"),
-    pytest.param(EngineConfig("parallel", workers=2), id="parallel-w2"),
     pytest.param(
         EngineConfig("persistent", workers=2, shards=4), id="persistent-w2-s4"
     ),

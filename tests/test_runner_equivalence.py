@@ -3,7 +3,7 @@
 Every saturation entry point now runs through
 :class:`repro.engine.runner.ChaseRunner`; this suite pins the runner's
 hard invariant across the full cross-product — every chase variant ×
-every registered engine (``naive``/``delta``/``parallel``/``persistent``)
+every registered engine (``naive``/``delta``/``persistent``)
 × worker counts {1, 3} on the corpus generators — asserting *bit-identical*
 :class:`~repro.chase.result.ChaseResult`s: atoms, provenance records,
 null names, levels/rounds, termination flags, timestamps, and the exact
@@ -16,7 +16,7 @@ the batched/sharded path — compared here against the always-interleaved
 reference (``delta_satisfaction=False``, the pre-runner behavior) for
 every engine, worker and shard count.
 
-Thread-mode engine internals stay in ``test_engine_parallel.py`` and the
+Registry and sharding internals stay in ``test_engine_parallel.py`` and the
 process-backend internals in ``test_engine_persistent.py``; this file is
 the variant × engine matrix.
 """
@@ -108,24 +108,16 @@ VARIANTS = [
 ]
 VARIANT_IDS = [v[0] for v in VARIANTS]
 
-#: The engine axis: sequential engines at their single configuration,
-#: parallel/persistent at workers ∈ {1, 3}.  Shards default to the worker
-#: count; `test_engine_parallel.py` varies shards independently.  The
-#: persistent entries run columnar worker replicas (the default); the
-#: ``_obj`` entry pins the object-replica ablation and the ``_shm``
+#: The engine axis: inline engines at their single configuration,
+#: persistent at workers ∈ {1, 3}.  Shards default to the worker count;
+#: `test_engine_parallel.py` varies shards independently.  The ``_shm``
 #: entry (present only where shared memory works) routes bulk payloads
 #: through segments — all bit-identical by construction.
 ENGINES = [
     ("delta", "delta"),
     ("naive", "naive"),
-    ("parallel_w1", EngineConfig("parallel", workers=1)),
-    ("parallel_w3", EngineConfig("parallel", workers=3)),
     ("persistent_w1", EngineConfig("persistent", workers=1)),
     ("persistent_w3", EngineConfig("persistent", workers=3)),
-    (
-        "persistent_w3_obj",
-        EngineConfig("persistent", workers=3, columnar=False),
-    ),
 ]
 if shm_available():
     ENGINES.append(
@@ -212,12 +204,13 @@ class TestDeltaDrivenRestrictedFiring:
         make = lambda: tournament_instance(6, seed=2)
         reference = self._interleaved_reference(make, self.TC)
         for workers, shards in [(1, 1), (2, 5), (3, 3), (3, 8)]:
-            for name in ("parallel", "persistent"):
-                config = EngineConfig(name, workers=workers, shards=shards)
-                result = restricted_chase(
-                    make(), self.TC, max_rounds=8, engine=config
-                )
-                assert_bit_identical(result, reference)
+            config = EngineConfig(
+                "persistent", workers=workers, shards=shards
+            )
+            result = restricted_chase(
+                make(), self.TC, max_rounds=8, engine=config
+            )
+            assert_bit_identical(result, reference)
 
     def test_budget_stop_matches_interleaved_reference(self):
         make = lambda: path_instance(20)
@@ -334,9 +327,8 @@ class TestDeltaDrivenRestrictedFiring:
             EngineConfig(
                 "persistent", workers=2, shards=5, adaptive_routing=True
             ),
-            EngineConfig("parallel", workers=3, use_processes=True),
         ],
-        ids=["w3s8", "w3_adaptive", "w2s5_adaptive", "legacy_processes"],
+        ids=["w3s8", "w3_adaptive", "w2s5_adaptive"],
     )
     def test_mixed_budget_stop_matches_reference(self, config):
         # A tight budget stops a *mixed* round mid-way (after real null
@@ -505,10 +497,6 @@ class TestStatefulClaimBudgetStopMatrix:
         (
             "persistent_w3_adaptive",
             EngineConfig("persistent", workers=3, adaptive_routing=True),
-        ),
-        (
-            "processes_w3",
-            EngineConfig("parallel", workers=3, use_processes=True),
         ),
     ]
 

@@ -2,14 +2,13 @@
 
 Every strategy of :func:`repro.serving.answer` must tell the same story
 as the naive reference — a full-saturation oblivious chase followed by a
-single entailment probe (the pre-serving ``certain_answer`` recipe) —
+single entailment probe (the pre-serving certain-answer recipe) —
 on the bdd corpus, across engines and worker counts, including
 budget-stopped runs where only a ``sound`` verdict is available.
 """
 
 from __future__ import annotations
 
-import warnings
 
 import pytest
 
@@ -18,7 +17,7 @@ from repro.corpus.examples import bdd_corpus, full_corpus
 from repro.engine.config import EngineConfig
 from repro.logic.instances import Instance
 from repro.logic.terms import Constant
-from repro.queries.entailment import certain_answer, entails_cq
+from repro.queries.entailment import entails_cq
 from repro.rules.parser import parse_instance, parse_query, parse_rules
 from repro.serving import (
     SERVING_STATS,
@@ -68,8 +67,6 @@ ENTRIES = {entry.name: entry for entry in full_corpus()}
 ENGINES = [
     ("delta", "delta"),
     ("naive", "naive"),
-    ("parallel_w1", EngineConfig("parallel", workers=1)),
-    ("parallel_w3", EngineConfig("parallel", workers=3)),
     ("persistent_w1", EngineConfig("persistent", workers=1)),
     ("persistent_w3", EngineConfig("persistent", workers=3)),
 ]
@@ -320,18 +317,7 @@ class TestEnumerationMode:
 
 
 class TestUniformSurface:
-    """Satellite plumbing: deprecation alias, validation, relevance."""
-
-    def test_certain_answer_is_a_deprecated_alias(self):
-        entry = ENTRIES["datalog_chain_3"]
-        query = parse_query("P3(x,y)")
-        with pytest.warns(DeprecationWarning, match="repro.serving.answer"):
-            legacy = certain_answer(entry.instance, entry.rules, query)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert legacy == answer(
-                entry.instance, entry.rules, query, strategy="chase"
-            ).entailed
+    """Satellite plumbing: validation, relevance."""
 
     def test_unknown_strategy_is_rejected(self):
         entry = ENTRIES["infinite_path"]
