@@ -228,6 +228,17 @@ class TestShardedIndex:
             for a in view:
                 assert index.shard_of(a) == i
 
+    def test_duplicates_within_a_batch_count_once(self):
+        from repro.engine.shards import atom_weight
+
+        index = ShardedIndex(2)
+        a = atom("P", "x0")
+        b = atom("P", "x1")
+        views = index.ingest([a, b, a])
+        assert sum(len(v) for v in views) == 2
+        assert len(index) == sum(index.sizes()) == 2
+        assert sum(index.weights()) == atom_weight(a) + atom_weight(b)
+
     def test_shard_count_validated(self):
         with pytest.raises(ChaseError):
             ShardedIndex(0)

@@ -46,8 +46,15 @@ PROCESS_WORKLOAD_NAMES = (
 PROCESS_WORKLOADS = [w for w in WORKLOADS if w[0] in PROCESS_WORKLOAD_NAMES]
 PROCESS_IDS = [w[0] for w in PROCESS_WORKLOADS]
 
+#: The pool's placements: one shard per worker, more shards than workers
+#: (uneven static placement), and size-balanced adaptive routing.
 PROCESS_MODES = [
     ("persistent", EngineConfig("persistent", workers=2)),
+    ("persistent_w3_s8", EngineConfig("persistent", workers=3, shards=8)),
+    (
+        "persistent_adaptive",
+        EngineConfig("persistent", workers=2, shards=5, adaptive_routing=True),
+    ),
 ]
 
 

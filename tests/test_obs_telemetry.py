@@ -178,6 +178,9 @@ ENGINE_MATRIX = [
     pytest.param(
         EngineConfig("persistent", workers=2, shards=4), id="persistent-w2-s4"
     ),
+    pytest.param(
+        EngineConfig("persistent", workers=1, shards=3), id="persistent-w1-s3"
+    ),
 ]
 
 

@@ -109,8 +109,9 @@ VARIANTS = [
 VARIANT_IDS = [v[0] for v in VARIANTS]
 
 #: The engine axis: inline engines at their single configuration,
-#: persistent at workers ∈ {1, 3}.  Shards default to the worker count;
-#: `test_engine_parallel.py` varies shards independently.  The ``_shm``
+#: persistent at workers ∈ {1, 3}.  Shards default to the worker count,
+#: except ``persistent_w1_s3``, whose three shards merge inline with no
+#: processes; `test_engine_parallel.py` varies shards further.  The ``_shm``
 #: entry (present only where shared memory works) routes bulk payloads
 #: through segments — all bit-identical by construction.
 ENGINES = [
@@ -118,6 +119,7 @@ ENGINES = [
     ("naive", "naive"),
     ("persistent_w1", EngineConfig("persistent", workers=1)),
     ("persistent_w3", EngineConfig("persistent", workers=3)),
+    ("persistent_w1_s3", EngineConfig("persistent", workers=1, shards=3)),
 ]
 if shm_available():
     ENGINES.append(
@@ -322,13 +324,14 @@ class TestDeltaDrivenRestrictedFiring:
     @pytest.mark.parametrize(
         "config",
         [
+            EngineConfig("persistent", workers=1, shards=4),
             EngineConfig("persistent", workers=3, shards=8),
             EngineConfig("persistent", workers=3, adaptive_routing=True),
             EngineConfig(
                 "persistent", workers=2, shards=5, adaptive_routing=True
             ),
         ],
-        ids=["w3s8", "w3_adaptive", "w2s5_adaptive"],
+        ids=["w1s4_inline", "w3s8", "w3_adaptive", "w2s5_adaptive"],
     )
     def test_mixed_budget_stop_matches_reference(self, config):
         # A tight budget stops a *mixed* round mid-way (after real null
