@@ -28,16 +28,14 @@ from repro.logic.terms import FreshSupply
 from repro.rules.ruleset import RuleSet
 from repro.chase.bounds import DEFAULT_MAX_ATOMS, DEFAULT_MAX_LEVELS
 from repro.chase.result import ChaseResult
-from repro.chase.trigger import Trigger, new_triggers_of, triggers_of
+from repro.chase.trigger import Trigger, triggers_of
+from repro.engine.core import as_delta_instance, delta_images
 
 
 def _frontier_key(trigger: Trigger) -> tuple:
     """The (rule, frontier image) identity of the semi-oblivious chase."""
-    apply = trigger.mapping.apply_term
-    return (
-        trigger.rule,
-        tuple(apply(v) for v in trigger.rule.frontier_order()),
-    )
+    rule = trigger.rule
+    return (rule, rule.frontier_of(trigger.image()))
 
 
 class SemiObliviousPolicy(VariantPolicy):
@@ -84,10 +82,15 @@ class SemiObliviousPolicy(VariantPolicy):
         )
 
     def delta_has_remaining(self, instance, rules, delta):
+        # Stops at the first image of a not-yet-fired frontier class.
         fired_keys = self._fired_keys
+        delta_inst = as_delta_instance(delta)
+        if not len(delta_inst):
+            return False
         return any(
-            _frontier_key(t) not in fired_keys
-            for t in new_triggers_of(instance, rules, delta)
+            (rule, rule.frontier_of(image)) not in fired_keys
+            for rule in rules
+            for image in delta_images(rule, instance, delta_inst)
         )
 
     def plan_round(self, result, triggers):

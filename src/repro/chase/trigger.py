@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.engine.core import as_delta_instance, rule_delta_images
+from repro.engine.core import as_delta_instance, delta_images, image_sort_key
 from repro.logic.atoms import Atom
 from repro.logic.homomorphisms import (
     MATCHER_STATS,
@@ -37,23 +37,51 @@ class Trigger:
 
     Two triggers are equal when they share the rule and agree on the body
     variables — the identity used by the oblivious chase to fire each
-    trigger exactly once.  The identity key is derived lazily from the
-    rule's canonical body-variable order, so constructing a trigger does
-    not sort anything.
+    trigger exactly once.  A trigger stores that identity, the body image
+    ``h(x̄)`` along the rule's canonical body-variable order; the
+    homomorphism itself (:attr:`mapping`) is rebuilt from it on demand, so
+    the enumeration paths, which build triggers straight from images
+    (:meth:`from_image`), allocate no substitution per trigger.
     """
 
-    __slots__ = ("rule", "mapping", "_image", "_ground_output")
+    __slots__ = ("rule", "_image", "_mapping", "_ground_output")
 
     def __init__(self, rule: Rule, mapping: Substitution):
+        apply = mapping.apply_term
         self.rule = rule
-        self.mapping = mapping.restrict(rule.body_variables())
-        self._image: tuple[Term, ...] | None = None
+        self._image = tuple(apply(v) for v in rule.body_variable_order())
+        self._mapping: Substitution | None = None
         # For existential-free rules the output is fully determined by the
-        # mapping; a claim gate that already instantiated the head (a
+        # image; a claim gate that already instantiated the head (a
         # custom policy's pre-computing gate) may park it here, and both
         # :meth:`output` and the sharded firing path reuse the parked
         # atoms instead of instantiating a second time.
         self._ground_output: set[Atom] | None = None
+
+    @classmethod
+    def from_image(cls, rule: Rule, image: tuple[Term, ...]) -> "Trigger":
+        """The trigger of ``rule`` whose body image is ``image``."""
+        trigger = cls.__new__(cls)
+        trigger.rule = rule
+        trigger._image = image
+        trigger._mapping = None
+        trigger._ground_output = None
+        return trigger
+
+    @property
+    def mapping(self) -> Substitution:
+        """The body homomorphism ``h``, restricted to the body variables."""
+        mapping = self._mapping
+        if mapping is None:
+            mapping = Substitution._from_clean(
+                {
+                    v: t
+                    for v, t in zip(self.rule.body_variable_order(), self._image)
+                    if v != t
+                }
+            )
+            self._mapping = mapping
+        return mapping
 
     def image(self) -> tuple[Term, ...]:
         """``h(x̄)`` along the rule's canonical body-variable order.
@@ -61,33 +89,25 @@ class Trigger:
         Together with the rule this is the trigger's identity; it also
         serves as the deterministic sort key among triggers of one rule.
         """
-        cached = self._image
-        if cached is None:
-            apply = self.mapping.apply_term
-            cached = tuple(
-                apply(v) for v in self.rule.body_variable_order()
-            )
-            self._image = cached
-        return cached
+        return self._image
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Trigger)
             and self.rule == other.rule
-            and self.image() == other.image()
+            and self._image == other._image
         )
 
     def __hash__(self) -> int:
-        return hash((self.rule, self.image()))
+        return hash((self.rule, self._image))
 
     def __repr__(self) -> str:
         return f"Trigger({self.rule!s}, {self.mapping!r})"
 
     def frontier_image(self) -> dict:
         """Return ``h(fr(ρ))`` as a mapping frontier variable -> term."""
-        return {
-            v: self.mapping.apply_term(v) for v in self.rule.frontier()
-        }
+        rule = self.rule
+        return dict(zip(rule.frontier_order(), rule.frontier_of(self._image)))
 
     def output(
         self, supply: FreshSupply
@@ -103,19 +123,17 @@ class Trigger:
             cached = self._ground_output
             if cached is not None:
                 return cached, {}
-            return rule.instantiate_head(self.mapping), {}
-        existential_map: dict[Term, Null] = {
-            v: supply.null() for v in existential
-        }
-        return rule.instantiate_head(self.mapping, existential_map), existential_map
+            return rule.instantiate_image(self._image), {}
+        nulls = tuple([supply.null() for _ in existential])
+        return (
+            rule.instantiate_image(self._image, nulls),
+            dict(zip(existential, nulls)),
+        )
 
     def is_satisfied_in(self, instance: Instance) -> bool:
         """True when ``h`` extends to a homomorphism of the head into
         ``instance`` — the restricted-chase applicability test."""
-        seed = {
-            v: self.mapping.apply_term(v)
-            for v in self.rule.frontier()
-        }
+        seed = self.frontier_image()
         for _ in homomorphisms(self.rule.head, instance, seed=seed):
             return True
         return False
@@ -140,15 +158,13 @@ class Trigger:
         * multi-atom head — the seeded backtracking matcher, as before.
         """
         rule = self.rule
-        mapping = self.mapping
+        image = self._image
         if not rule.existential_order():
-            return all(a in instance for a in mapping.apply_atoms(rule.head))
+            return all(a in instance for a in rule.head_atoms(image))
         head = rule.head
         if len(head) == 1:
             (head_atom,) = head
-            seed = {
-                v: mapping.apply_term(v) for v in rule.frontier()
-            }
+            seed = self.frontier_image()
             stats = MATCHER_STATS
             stats.searches += 1
             for candidate in _candidates(head_atom, instance, seed):
@@ -172,15 +188,6 @@ def triggers_of(
             yield Trigger(rule, hom)
 
 
-def _trigger_with_image(
-    rule: Rule, hom: Substitution, image: tuple[Term, ...]
-) -> Trigger:
-    """Build a trigger whose canonical image is already known."""
-    trigger = Trigger(rule, hom)
-    trigger._image = image
-    return trigger
-
-
 def new_triggers_of(
     instance: Instance,
     rules: RuleSet | list[Rule],
@@ -188,11 +195,12 @@ def new_triggers_of(
 ) -> Iterator[Trigger]:
     """Enumerate the triggers using at least one atom of ``delta``.
 
-    Pivot-atom decomposition via the shared delta core
-    (:mod:`repro.engine.core`): for each rule and each body atom, that
-    atom is matched against the delta only while the remaining atoms match
-    the full instance; a homomorphism touching ``k`` delta atoms is found
-    by ``k`` pivots, so duplicates are keyed out on the trigger image.
+    Factorised enumeration via the shared delta core
+    (:func:`repro.engine.core.delta_images`): each connected body
+    component is matched once against the delta (pivot decomposition) and,
+    where a product needs it, once against the full instance; the
+    triggers are built from the products of the components' images, each
+    image exactly once.
 
     Deterministic: rules in rule-set order, then triggers of each rule
     sorted by their body-variable image.  The chase engines rely on this
@@ -203,10 +211,13 @@ def new_triggers_of(
     delta_inst = as_delta_instance(delta)
     if not len(delta_inst):
         return
+    from_image = Trigger.from_image
     for rule in rules:
-        found = rule_delta_images(rule, instance, delta_inst)
-        for image in sorted(found):
-            yield _trigger_with_image(rule, found[image], image)
+        images = sorted(
+            delta_images(rule, instance, delta_inst), key=image_sort_key
+        )
+        for image in images:
+            yield from_image(rule, image)
 
 
 def parallel_new_triggers_of(
@@ -219,8 +230,8 @@ def parallel_new_triggers_of(
 
     ``scheduler`` is a :class:`repro.engine.scheduler.RoundScheduler`; it
     hash-shards the delta, enumerates every shard against the full
-    instance on its worker pool, and merges the candidates back keyed by
-    canonical image, so the returned list is identical to the sequential
+    instance on its worker pool, and merges the images back as a set
+    union, so the returned list is identical to the sequential
     enumeration for every worker/shard count.
     """
     rule_list = list(rules)
@@ -228,11 +239,10 @@ def parallel_new_triggers_of(
         delta.atoms() if isinstance(delta, Instance) else delta
     )
     per_rule = scheduler.enumerate_images(instance, rule_list, delta_atoms)
+    from_image = Trigger.from_image
     triggers: list[Trigger] = []
-    for rule, pairs in zip(rule_list, per_rule):
-        triggers.extend(
-            _trigger_with_image(rule, hom, image) for image, hom in pairs
-        )
+    for rule, images in zip(rule_list, per_rule):
+        triggers.extend(from_image(rule, image) for image in images)
     return triggers
 
 

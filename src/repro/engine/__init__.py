@@ -83,11 +83,12 @@ from repro.engine.config import (
     resolve_engine,
 )
 from repro.engine.core import (
+    any_delta_image,
     as_delta_instance,
-    delta_homomorphisms,
+    delta_images,
     derive_delta_atoms,
     derive_round_atoms,
-    rule_delta_images,
+    image_sort_key,
 )
 from repro.engine.runner import ChaseRunner, RoundPlan, VariantPolicy
 from repro.engine.scheduler import RoundScheduler
@@ -114,15 +115,16 @@ __all__ = [
     "WireDecoder",
     "WireEncoder",
     "WorkerPool",
+    "any_delta_image",
     "as_delta_instance",
     "available_engines",
-    "delta_homomorphisms",
+    "delta_images",
     "derive_delta_atoms",
     "derive_round_atoms",
     "fire_round",
+    "image_sort_key",
     "register_engine",
     "registered_engines",
     "resolve_engine",
-    "rule_delta_images",
     "shm_available",
 ]

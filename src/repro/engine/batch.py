@@ -100,7 +100,7 @@ def _split_round_stream(
                     continue
                 yield trigger, trigger.output(supply)
             else:
-                head = trigger.rule.instantiate_head(trigger.mapping)
+                head = trigger.rule.instantiate_image(trigger.image())
                 if all(a in instance for a in head):
                     continue
                 yield trigger, (head, {})
@@ -116,7 +116,7 @@ def _split_round_stream(
                 continue
             yield trigger, trigger.output(supply)
         else:
-            head = trigger.rule.instantiate_head(trigger.mapping)
+            head = trigger.rule.instantiate_image(trigger.image())
             start = perf()
             satisfied = all(a in instance for a in head)
             add_phase("gate", perf() - start)

@@ -57,7 +57,11 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine.batch import fire_round
 from repro.engine.config import EngineConfig, resolve_engine
-from repro.engine.core import as_delta_instance, derive_round_atoms
+from repro.engine.core import (
+    any_delta_image,
+    as_delta_instance,
+    derive_round_atoms,
+)
 from repro.engine.scheduler import RoundScheduler
 from repro.engine.workers import TRANSPORT_STATS
 from repro.errors import ChaseBudgetExceeded, ChaseError
@@ -163,13 +167,12 @@ class VariantPolicy:
     ) -> bool:
         """Existence probe after the step budget, delta engines.
 
-        Existence-only, so the sequential enumeration serves every engine
-        (the persistent scheduler is already closed when this runs).
+        Existence-only: stops at the first new image, without building,
+        sorting or materialising triggers — so the sequential core serves
+        every engine (the persistent scheduler is already closed when
+        this runs).
         """
-        from repro.chase.trigger import new_triggers_of
-
-        remaining = new_triggers_of(instance, rules, delta)
-        return any(True for _ in remaining)
+        return any_delta_image(rules, instance, delta)
 
     # -- firing --------------------------------------------------------
 

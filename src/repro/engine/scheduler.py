@@ -55,12 +55,11 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.engine.batch import RoundOutcome
 from repro.obs.trace import active_round
 from repro.engine.config import EngineConfig
-from repro.engine.core import derive_round_atoms, rule_delta_images
+from repro.engine.core import delta_images, derive_round_atoms, image_sort_key
 from repro.engine.shards import ShardedIndex, atom_weight
 from repro.engine.workers import WorkerPool
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
-from repro.logic.substitutions import Substitution
 from repro.rules.rule import Rule
 
 if TYPE_CHECKING:  # annotation-only: keeps engine importable below chase
@@ -81,13 +80,13 @@ def _run_shard(
 ):
     """Enumerate one shard's delta view against the full instance.
 
-    Returns per-rule ``{image: homomorphism}`` dicts in ``enumerate`` mode
+    Returns per-rule image lists (each image once) in ``enumerate`` mode
     or the derived head-atom set in ``derive`` mode.  Runs inline in the
     parent and, on the persistent pool, inside each worker.
     """
     if mode == _DERIVE:
         return derive_round_atoms(rules, instance, view)
-    return [rule_delta_images(rule, instance, view) for rule in rules]
+    return [list(delta_images(rule, instance, view)) for rule in rules]
 
 
 class RoundScheduler:
@@ -209,22 +208,20 @@ class RoundScheduler:
         instance: Instance,
         rules: Sequence[Rule],
         delta: Iterable[Atom],
-    ) -> list[list[tuple[tuple, Substitution]]]:
-        """Canonically ordered body matches of one round.
+    ) -> list[list[tuple]]:
+        """Canonically ordered body images of one round.
 
-        Returns one list per rule (in rule order) of ``(image, hom)``
-        pairs sorted by image — exactly the order the sequential delta
-        engine fires in.  Duplicate images across shards (a body touching
-        delta atoms in two shards) merge by keyed union.
+        Returns one list per rule (in rule order) of images sorted as the
+        sequential delta engine fires them.  Duplicate images across
+        shards (a body touching delta atoms in two shards) merge by set
+        union.
         """
         shard_results = self._run_round(_ENUMERATE, instance, rules, delta)
-        merged: list[dict[tuple, Substitution]] = [{} for _ in rules]
+        merged: list[set[tuple]] = [set() for _ in rules]
         for per_rule in shard_results:
-            for target, found in zip(merged, per_rule):
-                for image, hom in found.items():
-                    if image not in target:
-                        target[image] = hom
-        return [sorted(found.items()) for found in merged]
+            for target, images in zip(merged, per_rule):
+                target.update(images)
+        return [sorted(images, key=image_sort_key) for images in merged]
 
     def derive_atoms(
         self,

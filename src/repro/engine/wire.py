@@ -29,11 +29,10 @@ Flat buffers
     pack a trigger as its *body-variable image* along the rule's
     canonical :meth:`~repro.rules.rule.Rule.body_variable_order` (plus
     drawn null ids along :meth:`~repro.rules.rule.Rule.existential_order`
-    for fire), exploiting that a trigger's mapping is exactly
-    reconstructible from its image: ``Trigger.__init__`` restricts the
-    mapping to the body variables and ``Substitution`` drops identity
-    pairs.  Decoded atoms rebuild through the cached-hash fast path
-    :func:`repro.logic.atoms.build_atom`.
+    for fire), exploiting that a trigger *is* its image: a
+    :class:`~repro.chase.trigger.Trigger` stores only the image and
+    rebuilds its mapping from it.  Decoded atoms rebuild through the
+    cached-hash fast path :func:`repro.logic.atoms.build_atom`.
 
 Replies
     Workers answer with one packed buffer per message (one reply per
@@ -578,19 +577,19 @@ def decode_derive_reply(encoder: WireEncoder, reply: tuple) -> set[Atom]:
 
 
 def encode_enumerate_reply(
-    decoder: WireDecoder, rules: Sequence[Rule], per_rule: Sequence[dict]
+    decoder: WireDecoder,
+    rules: Sequence[Rule],
+    per_rule: Sequence[Sequence[tuple]],
 ) -> tuple:
-    """Pack per-rule image dicts: per rule a count, then flat images.
+    """Pack per-rule image lists: per rule a count, then flat images.
 
-    Only the images cross the wire — a trigger's homomorphism is exactly
-    reconstructible from its image along the rule's canonical
-    body-variable order (see module docstring), so the parent rebuilds
-    the ``{image: hom}`` dicts without shipping ``Substitution`` graphs.
+    A trigger is its image along the rule's canonical body-variable order
+    (see module docstring), so images are all that crosses the wire.
     """
     writer = ReplyWriter(decoder)
-    for found in per_rule:
-        writer.write_int(len(found))
-        for image in found:
+    for images in per_rule:
+        writer.write_int(len(images))
+        for image in images:
             for term in image:
                 writer.write_term(term)
     return writer.finish()
@@ -598,21 +597,18 @@ def encode_enumerate_reply(
 
 def decode_enumerate_reply(
     encoder: WireEncoder, rules: Sequence[Rule], reply: tuple
-) -> list[dict]:
+) -> list[list[tuple]]:
     reader = ReplyReader(encoder, reply)
-    results: list[dict] = []
+    read_term = reader.read_term
+    results: list[list[tuple]] = []
     for rule in rules:
-        order = rule.body_variable_order()
-        found: dict = {}
-        for _ in range(reader.read_int()):
-            image = tuple(reader.read_term() for _ in order)
-            mapping = {
-                variable: term
-                for variable, term in zip(order, image)
-                if variable != term
-            }
-            found[image] = Substitution._from_clean(mapping)
-        results.append(found)
+        width = range(len(rule.body_variable_order()))
+        results.append(
+            [
+                tuple([read_term() for _ in width])
+                for _ in range(reader.read_int())
+            ]
+        )
     return results
 
 

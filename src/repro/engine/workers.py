@@ -35,9 +35,8 @@ pickled — that is also how the pool accounts transport in
     replica, then run the shared delta core with the decoded
     ``pivot_buf`` atoms (this worker's hash shards of the delta) as the
     pivot source against the full replica.  Replies with one packed
-    buffer: per-rule image streams (``enumerate`` — the parent rebuilds
-    the ``{image: hom}`` dicts from the images alone) or a derived atom
-    stream (``derive``).
+    buffer: per-rule image streams (``enumerate`` — the parent builds the
+    triggers from the images) or a derived atom stream (``derive``).
 ``("probe", segment, sync_buf, rules, tasks_buf)``
     The worker-resident half of the restricted chase's satisfaction
     claim (the *probe/claim* gate): fold the sync delta into the

@@ -300,6 +300,16 @@ def homomorphisms(
     yield from _search(ordered, target_inst, binding, used_targets)
 
 
+def bindings(
+    source: Iterable[Atom], target: Instance
+) -> Iterator[dict[Term, Term]]:
+    """Raw-binding variant of :func:`homomorphisms` (no seed, not
+    injective): yields the matcher's live binding dict once per
+    homomorphism, under the same contract as :func:`pivot_bindings`."""
+    ordered = _order_atoms(list(source), target)
+    yield from _search(ordered, target, {}, None, raw=True)
+
+
 def homomorphisms_with_pivot(
     source: Iterable[Atom],
     target: Instance,

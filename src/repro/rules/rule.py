@@ -8,9 +8,10 @@ hashable so rule sets can be plain sets.
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, build_atom
 from repro.logic.predicates import Predicate
 from repro.logic.substitutions import Substitution
 from repro.logic.terms import FreshSupply, Term, Variable
@@ -45,6 +46,38 @@ class InstantiationStats:
 INSTANTIATION_STATS = InstantiationStats()
 
 
+def tuple_getter(keys: Sequence) -> Callable[[object], tuple]:
+    """An :func:`operator.itemgetter` over ``keys`` that always returns a
+    tuple — also for zero or one key, where ``itemgetter`` would raise or
+    return the bare item."""
+    if not keys:
+        return lambda _source: ()
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda source: (source[key],)
+    return itemgetter(*keys)
+
+
+class BodyComponent(NamedTuple):
+    """One connected component of a rule body.
+
+    Body atoms are connected when they share a non-constant term; a
+    homomorphism of the body is exactly a choice of one homomorphism per
+    component, so delta-driven enumeration can match each component on
+    its own and build the body's images as products (see
+    :mod:`repro.engine.core`).  A ground or nullary atom (``top``,
+    ``P(a)``) is a component without terms whose only image is ``()``.
+    """
+
+    #: The component's atoms, sorted.
+    atoms: tuple[Atom, ...]
+    #: The terms the matcher binds: the component's variables in the
+    #: rule's canonical order, then any nulls of the body, sorted.
+    terms: tuple[Term, ...]
+    #: Maps a matcher binding to the component's image along ``terms``.
+    image_of: Callable[[dict], tuple]
+
+
 class Rule:
     """An existential rule with non-empty body and head."""
 
@@ -58,6 +91,9 @@ class Rule:
         "_frontier_order",
         "_existential_order",
         "_sorted_body",
+        "_components",
+        "_head_template",
+        "_frontier_of",
     )
 
     def __init__(
@@ -84,6 +120,9 @@ class Rule:
         self._frontier_order: tuple[Variable, ...] | None = None
         self._existential_order: tuple[Variable, ...] | None = None
         self._sorted_body: tuple[Atom, ...] | None = None
+        self._components: tuple | None = None
+        self._head_template: tuple | None = None
+        self._frontier_of: Callable[[tuple], tuple] | None = None
 
     # ------------------------------------------------------------------
     # Value semantics (label is presentation-only)
@@ -182,6 +221,71 @@ class Rule:
             self._sorted_body = cached
         return cached
 
+    def body_components(
+        self,
+    ) -> tuple[tuple[BodyComponent, ...], Callable[[tuple], tuple] | None]:
+        """The connected components of the body and their image assembler.
+
+        Components come in the order of their first atom in
+        :meth:`sorted_body`.  The assembler maps the concatenation of one
+        image per component (in component order) to the body image along
+        :meth:`body_variable_order`; it is ``None`` when the concatenation
+        already is that image (the case for a connected body without
+        nulls).  Cached: rules are immutable.
+        """
+        cached = self._components
+        if cached is None:
+            cached = self._factorise_body()
+            self._components = cached
+        return cached
+
+    def _factorise_body(self):
+        atoms = self.sorted_body()
+        # Union-find over atom indexes; a root is its component's first atom.
+        parent = list(range(len(atoms)))
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        owner: dict[Term, int] = {}
+        for i, atom in enumerate(atoms):
+            for term in atom.args:
+                if term.is_constant:
+                    continue
+                a, b = root(i), root(owner.setdefault(term, i))
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+        groups: dict[int, list[Atom]] = {}
+        for i, atom in enumerate(atoms):
+            groups.setdefault(root(i), []).append(atom)
+        order = self.body_variable_order()
+        components = []
+        for members in groups.values():
+            linked = {t for a in members for t in a.args if not t.is_constant}
+            terms = [v for v in order if v in linked]
+            terms += sorted(t for t in linked if not t.is_variable)
+            components.append(
+                BodyComponent(tuple(members), tuple(terms), tuple_getter(terms))
+            )
+        concatenated = tuple(t for c in components for t in c.terms)
+        assemble = None
+        if concatenated != order:
+            assemble = tuple_getter([concatenated.index(v) for v in order])
+        return tuple(components), assemble
+
+    def frontier_of(self, image: tuple) -> tuple:
+        """The frontier part of a body image: ``h`` along
+        :meth:`frontier_order`, read from ``h`` along
+        :meth:`body_variable_order`."""
+        get = self._frontier_of
+        if get is None:
+            order = self.body_variable_order()
+            get = tuple_getter([order.index(v) for v in self.frontier_order()])
+            self._frontier_of = get
+        return get(image)
+
     def head_variables(self) -> set[Variable]:
         """All variables of the head (``ȳ ∪ z̄``)."""
         return {v for atom in self.head for v in atom.variables()}
@@ -224,27 +328,77 @@ class Rule:
     # Head instantiation
     # ------------------------------------------------------------------
 
+    def _template(self) -> tuple:
+        """The head template: per head atom its predicate and a getter
+        that reads the atom's arguments off ``image + nulls + constants``
+        (body image along :meth:`body_variable_order`, nulls along
+        :meth:`existential_order`, then the head's fixed terms)."""
+        cached = self._head_template
+        if cached is None:
+            order = self.body_variable_order()
+            existential = self.existential_order()
+            slots: dict[Term, int] = {v: i for i, v in enumerate(order)}
+            for i, v in enumerate(existential):
+                slots[v] = len(order) + i
+            constants: list[Term] = []
+            atoms = []
+            for atom in sorted(self.head):
+                positions = []
+                for term in atom.args:
+                    slot = slots.get(term)
+                    if slot is None:
+                        # A constant (or a null): nothing moves it.
+                        slot = len(slots)
+                        slots[term] = slot
+                        constants.append(term)
+                    positions.append(slot)
+                atoms.append((atom.predicate, tuple_getter(positions)))
+            cached = (tuple(atoms), tuple(constants))
+            self._head_template = cached
+        return cached
+
+    def head_atoms(self, image: tuple, nulls: tuple = ()) -> set[Atom]:
+        """The head under the body image ``image`` (along
+        :meth:`body_variable_order`) and the existential assignment
+        ``nulls`` (along :meth:`existential_order`).
+
+        Not counted: satisfaction probes and the Datalog closure's
+        derivation read heads through here.  Firing goes through
+        :meth:`instantiate_image`.
+        """
+        atoms, constants = self._template()
+        values = image + nulls + constants if nulls or constants else image
+        return {build_atom(predicate, get(values)) for predicate, get in atoms}
+
+    def instantiate_image(self, image: tuple, nulls: tuple = ()) -> set[Atom]:
+        """The output of firing the trigger with body image ``image``.
+
+        The single definition of what firing a trigger produces: the
+        sequential :meth:`~repro.chase.trigger.Trigger.output`, the
+        batched firing paths and the sharded firing workers
+        (:func:`repro.engine.workers.fire_tasks`, through
+        :meth:`instantiate_head`) all call this, so the engines cannot
+        drift apart.  Counted in :data:`INSTANTIATION_STATS`.
+        """
+        INSTANTIATION_STATS.heads += 1
+        return self.head_atoms(image, nulls)
+
     def instantiate_head(
         self,
         mapping: Substitution,
         existential_map: "dict | None" = None,
     ) -> set[Atom]:
-        """The head atoms under ``mapping`` + an existential assignment.
-
-        The single definition of what firing a trigger produces: both the
-        sequential :meth:`~repro.chase.trigger.Trigger.output` and the
-        sharded firing workers (:func:`repro.engine.workers.fire_tasks`)
-        call this, so the engines cannot drift apart.  For Datalog rules
-        (``existential_map`` empty) the body homomorphism already grounds
-        the head — no merged substitution is built.
-        """
-        INSTANTIATION_STATS.heads += 1
-        if not existential_map:
-            return mapping.apply_atoms(self.head)
-        extended = Substitution._from_clean(
-            {**mapping.as_dict(), **existential_map}
-        )
-        return extended.apply_atoms(self.head)
+        """:meth:`instantiate_image` for a body homomorphism given as a
+        substitution and an existential-variable-to-null mapping.
+        Existential variables the mapping leaves out stay unchanged."""
+        apply = mapping.apply_term
+        image = tuple(apply(v) for v in self.body_variable_order())
+        existential = self.existential_order()
+        if existential_map:
+            nulls = tuple(existential_map.get(v, v) for v in existential)
+        else:
+            nulls = existential
+        return self.instantiate_image(image, nulls)
 
     # ------------------------------------------------------------------
     # Renaming

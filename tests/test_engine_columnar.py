@@ -24,7 +24,7 @@ import pytest
 
 from repro.engine import wire
 from repro.engine.columnar import ColumnarInstance, Vocabulary
-from repro.engine.core import delta_homomorphisms
+from repro.engine.core import delta_images
 from repro.engine.wire import WireDecoder, WireEncoder
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
@@ -179,7 +179,7 @@ class TestMatcherParity:
         )
         assert store.matching_position(E, 1, b) == (Atom(E, (a, b)),)
 
-    def test_delta_homomorphisms_agree_with_object_instances(self):
+    def test_delta_images_agree_with_object_instances(self):
         """The shared delta core runs unchanged on columnar stores."""
         rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
         rule = list(rules)[0]
@@ -193,12 +193,12 @@ class TestMatcherParity:
         view = ColumnarInstance(store.vocabulary)
         view.ingest_packed(encoder.encode_atoms(pivots))
         reference = list(
-            delta_homomorphisms(
+            delta_images(
                 rule, Instance(atoms, add_top=False),
                 Instance(pivots, add_top=False),
             )
         )
-        columnar = list(delta_homomorphisms(rule, store, view))
+        columnar = list(delta_images(rule, store, view))
         assert columnar == reference
         assert reference  # the workload actually matched something
 

@@ -365,8 +365,8 @@ class TestSchedulerDeterminism:
                 inst, rules, list(inst)
             )
             assert len(per_rule) == 1
-            images = [image for image, _ in per_rule[0]]
-            assert images == sorted(images)
+            images = per_rule[0]
+            assert images and images == sorted(images)
             assert sum(scheduler.shard_sizes()) == len(inst)
         assert scheduler._worker_pool is None
 
