@@ -27,7 +27,8 @@ explicit :class:`EngineConfig`:
 ``engine="persistent"`` Sharded scheduler on persistent delta-fed process
                         workers (:class:`WorkerPool`): id-native
                         :class:`ColumnarInstance` replicas seeded once,
-                        per-round delta sync, sharded firing and
+                        per-round delta sync, an id kernel that joins on
+                        the replicas' rows, sharded firing and
                         worker-resident satisfaction probes across the
                         pool.  ``EngineConfig("persistent", workers=8)``
                         tunes the pool (``workers=1`` runs the sharded
@@ -45,8 +46,9 @@ engines; :func:`register_engine` adds presets.
 Sharding
 --------
 The persistent engine routes each round's delta through a
-:class:`~repro.engine.shards.ShardedIndex`: atoms are hash-partitioned
-into per-shard positional-indexed views, one enumeration task runs per
+:class:`~repro.engine.shards.ShardedIndex`: atoms are partitioned by a
+hash that every process agrees on into per-shard positional-indexed
+views, one enumeration task runs per
 non-empty shard against the full instance (or a worker's replica of it),
 and the shard count defaults to the worker count.  Shard assignment is
 invisible in the results.

@@ -1,11 +1,11 @@
-"""Columnar id-native instances: worker replicas in the wire's id space.
+"""Columnar id-native instances and the id kernel the workers run on them.
 
 The persistent pool's wire codec interns every symbol once; a
 :class:`ColumnarInstance` keeps the worker replicas in that same id
-space.  Atoms live as flat integer rows over the pool's shared symbol
-tables, exactly as :mod:`repro.engine.wire` packs them, so a packed sync
-buffer folds into a replica without being decoded back into ``Atom``
-objects and re-indexed.
+space.  Atoms live as integer rows over the pool's shared symbol tables,
+exactly as :mod:`repro.engine.wire` packs them, so a packed sync buffer
+folds into a replica without being decoded back into ``Atom`` objects,
+and the worker's matcher joins on those rows directly.
 
 Layout
 ------
@@ -14,59 +14,68 @@ One :class:`Vocabulary` (a view over a worker's
 maps ids to term/predicate objects and back.  Per predicate id the store
 keeps
 
-* a flat ``array('q')`` *column* of term ids, row-major (``arity`` ids
-  per row) — the same ``(pred_id, term_ids...)`` stream the wire packs,
-* a row set of id tuples for O(1) membership (``probe`` runs on ids, no
-  ``Atom`` is built),
-* an id-level positional index ``(pred_id, position, term_id) -> rows``
-  mirroring the object instance's most-selective candidate seeding.
+* a row set of term-id tuples — membership, dedup and the candidates of
+  an atom none of whose positions is bound;
+* the positional index, one ``term_id -> rows`` dict per argument
+  position — the id twin of the object instance's most-selective
+  ``(predicate, position, term)`` buckets, read directly by the kernel.
 
-Ingest
-------
 Rows arrive only as wire buffers: :meth:`ColumnarInstance.ingest_packed`
-walks a packed sync/seed/pivot buffer with
-:func:`repro.engine.wire.iter_atom_rows` and appends each new row's ids
-straight into its column — packed bytes in, flat ids stored, no ``Atom``
-built.
+walks a packed seed/sync/pivot buffer with
+:func:`repro.engine.wire.iter_atom_rows` and indexes each new row —
+packed bytes in, id rows stored, no ``Atom`` built.  Columnar instances
+are append-only (the chase never retracts); ``discard`` has no columnar
+counterpart by design.
 
-Lazy materialization
---------------------
-The homomorphism matcher still speaks ``Atom``: the store implements the
-matcher-facing slice of the :class:`~repro.logic.instances.Instance` API
-(``count`` / ``position_count`` / ``sorted_with_predicate`` /
-``matching_position`` / ``__contains__``) by materializing atoms lazily,
-bucket by bucket, through the cached-hash
-:func:`~repro.logic.atoms.build_atom` fast path — one ``Atom`` per row
-ever, built only when the matcher first touches its bucket.  Sync
-ingest, membership probes and candidate *counting* never build objects,
-which is what keeps ``decode_atoms`` out of the persistent worker's
-per-round hot path.
+The id kernel
+-------------
+:class:`ColumnarMatcher` is the per-component matcher of the shared
+delta decomposition (:func:`repro.engine.core.body_images`) over a
+replica and a delta store.  Each body component is compiled once per
+round into an id *plan*: per atom of the search order its predicate id,
+the slots it binds, and the checks and seed positions over slots bound
+earlier or holding a constant's id.  A slot is a position of the
+component's image along :attr:`BodyComponent.terms
+<repro.rules.rule.BodyComponent.terms>`, with the body's constants in
+extra slots after it, so a finished match *is* its image.  A body
+constant the vocabulary does not hold yet compiles to id ``-1``, which
+no row holds: the component has no match this round, and plans are
+rebuilt every round, so the constant matches once it is shipped.
 
-Ordering is inherited, not re-invented: materialized buckets are sorted
-with the library's ``Atom`` order, so every enumeration the matcher
-seeds from a columnar replica is bit-identical to one seeded from an
-object instance — the equivalence matrix in
-``tests/test_runner_equivalence.py`` pins the persistent engine, whose
-worker replicas are all columnar, against the object-level engines.
+The kernel keeps the object matcher's work exactly
+(:mod:`repro.logic.homomorphisms`): atoms are ordered by the same
+:func:`~repro.logic.homomorphisms._order_atoms` (fed by the store's
+per-predicate row counts), and each atom's candidates come from the
+same most selective bound position bucket, or from all rows of the
+predicate when nothing is bound.  It therefore tests the same
+candidates and starts the same searches, and counts both in
+:data:`~repro.logic.homomorphisms.MATCHER_STATS`.
 
-Columnar instances are append-only (the chase never retracts);
-``discard`` has no columnar counterpart by design.
+On top of the images, :func:`derive_rows` reads head rows through each
+rule's head template compiled to ids (:class:`HeadRows`), and
+:func:`enumerate_images` returns the images themselves.  Ids in, ids
+out: the worker packs its replies straight from these rows.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.engine import wire
-from repro.logic.atoms import Atom, build_atom
+from repro.engine.core import body_images
+from repro.errors import ChaseError
+from repro.logic.homomorphisms import MATCHER_STATS, _order_atoms
 from repro.logic.predicates import Predicate
 from repro.logic.terms import Term
+from repro.rules.rule import BodyComponent, Rule, tuple_getter
 
 if TYPE_CHECKING:  # annotation-only
     from repro.engine.wire import WireDecoder
 
-_EMPTY_ATOMS: tuple[Atom, ...] = ()
+_NO_ROWS: frozenset = frozenset()
+
+#: The id of a body constant the vocabulary does not hold: no row has it.
+ABSENT = -1
 
 
 class Vocabulary:
@@ -106,50 +115,40 @@ class Vocabulary:
 class ColumnarInstance:
     """An append-only id-native atom store over a shared vocabulary.
 
-    See the module docstring for the layout.  The matcher-facing methods
-    mirror :class:`~repro.logic.instances.Instance` exactly (same names,
-    same deterministic orders); the id-native methods (``add_row``,
-    ``contains_row``, ``ingest_packed``) are the hot path the persistent
-    protocol runs on.
+    See the module docstring for the layout.  ``count`` is the one
+    object-keyed read left: the kernel's atom ordering asks it for
+    predicate sizes, as the object matcher asks an ``Instance``.
     """
 
-    __slots__ = (
-        "_vocabulary",
-        "_columns",
-        "_row_sets",
-        "_by_position",
-        "_atom_rows",
-        "_sorted_predicate",
-        "_sorted_position",
-    )
+    __slots__ = ("_vocabulary", "_row_sets", "_positions")
 
     def __init__(self, vocabulary: Vocabulary):
         self._vocabulary = vocabulary
-        # pred_id -> flat row-major term-id column (arity ids per row).
-        self._columns: dict[int, array] = {}
-        # pred_id -> set of term-id row tuples (membership + dedup).
+        # pred_id -> set of term-id row tuples.
         self._row_sets: dict[int, set[tuple[int, ...]]] = {}
-        # (pred_id, position, term_id) -> row indexes into the column.
-        self._by_position: dict[tuple[int, int, int], list[int]] = {}
-        # Lazy per-row Atom cache and the sorted bucket caches the
-        # matcher reads (invalidated per key on append, like Instance).
-        self._atom_rows: dict[int, list[Atom | None]] = {}
-        self._sorted_predicate: dict[int, tuple[Atom, ...]] = {}
-        self._sorted_position: dict[
-            tuple[int, int, int], tuple[Atom, ...]
-        ] = {}
-
-    # ------------------------------------------------------------------
-    # Id-native mutation
-    # ------------------------------------------------------------------
+        # pred_id -> one {term_id: rows} dict per argument position.
+        self._positions: dict[int, tuple[dict[int, list], ...]] = {}
 
     @property
     def vocabulary(self) -> Vocabulary:
         return self._vocabulary
 
-    def row_count(self, pred_id: int) -> int:
-        rows = self._row_sets.get(pred_id)
-        return len(rows) if rows else 0
+    def __len__(self) -> int:
+        return sum(len(rows) for rows in self._row_sets.values())
+
+    def count(self, predicate: Predicate) -> int:
+        """The number of rows over ``predicate`` (0 if never shipped)."""
+        pred_id = self._vocabulary.predicate_ids.get(predicate, ABSENT)
+        return len(self.rows(pred_id))
+
+    def rows(self, pred_id: int):
+        """Every row over ``pred_id``, as a set of term-id tuples."""
+        return self._row_sets.get(pred_id, _NO_ROWS)
+
+    def positions(self, pred_id: int) -> tuple[dict[int, list], ...] | None:
+        """The positional index of ``pred_id``: per argument position a
+        ``term_id -> rows`` dict; None while the predicate has no row."""
+        return self._positions.get(pred_id)
 
     def contains_row(self, pred_id: int, term_ids: tuple[int, ...]) -> bool:
         rows = self._row_sets.get(pred_id)
@@ -160,25 +159,16 @@ class ColumnarInstance:
         rows = self._row_sets.get(pred_id)
         if rows is None:
             rows = self._row_sets[pred_id] = set()
-            self._columns[pred_id] = array("q")
-            self._atom_rows[pred_id] = []
-        if term_ids in rows:
+            self._positions[pred_id] = tuple({} for _ in term_ids)
+        elif term_ids in rows:
             return False
-        column = self._columns[pred_id]
-        arity = len(term_ids)
-        row = len(column) // arity if arity else len(rows)
         rows.add(term_ids)
-        column.extend(term_ids)
-        self._atom_rows[pred_id].append(None)
-        self._sorted_predicate.pop(pred_id, None)
-        for position, term_id in enumerate(term_ids):
-            key = (pred_id, position, term_id)
-            bucket = self._by_position.get(key)
+        for index, term_id in zip(self._positions[pred_id], term_ids):
+            bucket = index.get(term_id)
             if bucket is None:
-                self._by_position[key] = [row]
+                index[term_id] = [term_ids]
             else:
-                bucket.append(row)
-            self._sorted_position.pop(key, None)
+                bucket.append(term_ids)
         return True
 
     # checks: hot
@@ -200,120 +190,286 @@ class ColumnarInstance:
                 added += 1
         return added
 
-    # ------------------------------------------------------------------
-    # Materialization
-    # ------------------------------------------------------------------
 
-    def _atom_at(self, pred_id: int, row: int) -> Atom:
-        cache = self._atom_rows[pred_id]
-        atom = cache[row]
-        if atom is None:
-            vocabulary = self._vocabulary
-            predicate = vocabulary.predicates[pred_id]
-            terms = vocabulary.terms
-            arity = predicate.arity
-            base = row * arity
-            column = self._columns[pred_id]
-            atom = build_atom(
-                predicate, tuple(terms[i] for i in column[base:base + arity])
-            )
-            cache[row] = atom
-        return atom
+# ----------------------------------------------------------------------
+# The id kernel
+# ----------------------------------------------------------------------
 
-    # ------------------------------------------------------------------
-    # The matcher-facing Instance API slice
-    # ------------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return sum(len(rows) for rows in self._row_sets.values())
+class _Step:
+    """One atom of a compiled search order.
 
-    def __iter__(self) -> Iterator[Atom]:
-        for pred_id, rows in self._row_sets.items():
-            for row in range(len(self._atom_rows[pred_id])):
-                yield self._atom_at(pred_id, row)
+    ``seeds`` are ``(position, slot)`` pairs whose slot is bound before
+    this atom (an earlier atom's term or a constant), in position order:
+    the candidate buckets.  ``binds`` write a candidate's ids into the
+    slots this atom binds first; ``checks`` then compare every other
+    position with its slot — the seeds again (bar a lone seed, whose
+    bucket already holds only matching rows), and repeats of a term
+    within the atom.
+    """
 
-    def __contains__(self, atom: Atom) -> bool:
-        vocabulary = self._vocabulary
-        pred_id = vocabulary.predicate_ids.get(atom.predicate)
-        if pred_id is None:
-            return False
-        rows = self._row_sets.get(pred_id)
-        if not rows:
-            return False
-        term_ids = vocabulary.term_ids
-        ids = []
-        for term in atom.args:
-            term_id = term_ids.get(term)
-            if term_id is None:
-                return False
-            ids.append(term_id)
-        return tuple(ids) in rows
+    __slots__ = ("seeds", "binds", "checks", "index", "rows")
 
-    def count(self, predicate: Predicate) -> int:
-        pred_id = self._vocabulary.predicate_ids.get(predicate)
-        return self.row_count(pred_id) if pred_id is not None else 0
+    def __init__(self, pred_id, seeds, binds, checks, store):
+        self.seeds = seeds
+        self.binds = binds
+        self.checks = checks
+        self.index = store.positions(pred_id)
+        self.rows = store.rows(pred_id)
 
-    def position_count(
-        self, predicate: Predicate, position: int, term: Term
-    ) -> int:
-        vocabulary = self._vocabulary
-        pred_id = vocabulary.predicate_ids.get(predicate)
-        if pred_id is None:
-            return 0
-        term_id = vocabulary.term_ids.get(term)
-        if term_id is None:
-            return 0
-        bucket = self._by_position.get((pred_id, position, term_id))
-        return len(bucket) if bucket else 0
 
-    def sorted_with_predicate(self, predicate: Predicate) -> tuple[Atom, ...]:
-        pred_id = self._vocabulary.predicate_ids.get(predicate)
-        if pred_id is None:
-            return _EMPTY_ATOMS
-        cached = self._sorted_predicate.get(pred_id)
-        if cached is None:
-            rows = self._row_sets.get(pred_id)
-            if not rows:
-                return _EMPTY_ATOMS
-            cached = tuple(
-                sorted(
-                    self._atom_at(pred_id, row) for row in range(len(rows))
+class _Plan:
+    """A component compiled for one search order of one round."""
+
+    __slots__ = ("steps", "width", "constants", "earlier", "image")
+
+    def __init__(self, steps, width, constants, earlier):
+        self.steps = steps
+        self.width = width
+        self.constants = constants
+        #: ``(pred_id, row_of)`` per earlier pivot atom that a distinct
+        #: new-image search must find outside the delta.
+        self.earlier = earlier
+        self.image = tuple_getter(range(width))
+
+
+# checks: hot
+def _candidates(step: _Step, values: list):
+    """The rows :func:`repro.logic.homomorphisms._candidates` would test:
+    the smallest bucket among the bound positions (the first one on
+    ties), nothing if one of them is empty, else every row."""
+    index = step.index
+    best = None
+    for position, slot in step.seeds:
+        bucket = index[position].get(values[slot]) if index else None
+        if not bucket:
+            return ()
+        if best is None or len(bucket) < len(best):
+            best = bucket
+    return step.rows if best is None else best
+
+
+# checks: hot
+def _matches(plan: _Plan, first, delta) -> Iterator[tuple]:
+    """Yield the image of every match of ``plan`` whose first atom maps
+    into ``first``.
+
+    An explicit-stack search like the object matcher's, over a flat slot
+    list instead of a binding dict: slots are overwritten, never undone,
+    because each is bound at exactly one depth.  Candidates are counted
+    a bucket at a time, as a frame is pushed; every caller drains the
+    search, so that is the count of candidates tested.
+    """
+    stats = MATCHER_STATS
+    stats.searches += 1
+    stats.candidates += len(first)
+    steps = plan.steps
+    last = len(steps) - 1
+    values = [None] * plan.width
+    values.extend(plan.constants)
+    image = plan.image
+    earlier = plan.earlier
+    frames = [iter(first)]
+    while frames:
+        depth = len(frames) - 1
+        step = steps[depth]
+        binds = step.binds
+        checks = step.checks
+        for row in frames[-1]:
+            for position, slot in binds:
+                values[slot] = row[position]
+            for position, slot in checks:
+                if row[position] != values[slot]:
+                    break
+            else:
+                if depth < last:
+                    candidates = _candidates(steps[depth + 1], values)
+                    stats.candidates += len(candidates)
+                    frames.append(iter(candidates))
+                    break
+                for pred_id, row_of in earlier:
+                    if delta.contains_row(pred_id, row_of(values)):
+                        break
+                else:
+                    yield image(values)
+        else:
+            frames.pop()
+
+
+class ColumnarMatcher:
+    """The id-native matcher of one round: components of rule bodies
+    matched into ``store``, pivoting on ``delta`` (see the module
+    docstring).  Images are term-id tuples along each component's
+    terms; the decomposition around them is
+    :func:`repro.engine.core.body_images`, shared with the object
+    matcher.
+    """
+
+    __slots__ = ("full", "_store", "_delta", "_plans")
+
+    def __init__(self, store: ColumnarInstance, delta: ColumnarInstance):
+        self.full = delta is store
+        self._store = store
+        self._delta = delta
+        self._plans: dict[tuple, _Plan] = {}
+
+    def _pred_id(self, predicate: Predicate) -> int:
+        return self._store.vocabulary.predicate_ids.get(predicate, ABSENT)
+
+    def _plan(
+        self, component: BodyComponent, pivot: int | None, distinct: bool
+    ) -> _Plan:
+        key = (component.atoms, pivot, distinct)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._compile(component, pivot, distinct)
+        return plan
+
+    def _compile(
+        self, component: BodyComponent, pivot: int | None, distinct: bool
+    ) -> _Plan:
+        """The component's id plan, for the search order the object
+        matcher uses with this pivot (or without one)."""
+        store = self._store
+        term_ids = store.vocabulary.term_ids
+        atoms = component.atoms
+        if pivot is None:
+            ordered = _order_atoms(list(atoms), store)
+        else:
+            rest = [a for i, a in enumerate(atoms) if i != pivot]
+            pinned = {t for t in atoms[pivot].args if not t.is_constant}
+            ordered = [atoms[pivot]] + _order_atoms(rest, store, bound=pinned)
+        width = len(component.terms)
+        slots = {term: i for i, term in enumerate(component.terms)}
+        constants: list[int] = []
+        for atom in atoms:
+            for term in atom.args:
+                if term.is_constant and term not in slots:
+                    slots[term] = width + len(constants)
+                    constants.append(term_ids.get(term, ABSENT))
+        bound: set[Term] = set()
+        steps = []
+        for depth, atom in enumerate(ordered):
+            seeds, binds, checks = [], [], []
+            fresh: set[Term] = set()
+            for position, term in enumerate(atom.args):
+                slot = slots[term]
+                if term.is_constant or term in bound:
+                    seeds.append((position, slot))
+                    checks.append((position, slot))
+                elif term in fresh:
+                    checks.append((position, slot))
+                else:
+                    fresh.add(term)
+                    binds.append((position, slot))
+            bound |= fresh
+            if depth and len(seeds) == 1:
+                # Past the first atom, candidates come from the seed's
+                # own bucket.  (The first atom's may be the delta's rows.)
+                checks.remove(seeds[0])
+            steps.append(
+                _Step(
+                    self._pred_id(atom.predicate),
+                    tuple(seeds), tuple(binds), tuple(checks), store,
                 )
             )
-            self._sorted_predicate[pred_id] = cached
-        return cached
-
-    def matching_position(
-        self, predicate: Predicate, position: int, term: Term
-    ) -> tuple[Atom, ...]:
-        vocabulary = self._vocabulary
-        pred_id = vocabulary.predicate_ids.get(predicate)
-        if pred_id is None:
-            return _EMPTY_ATOMS
-        term_id = vocabulary.term_ids.get(term)
-        if term_id is None:
-            return _EMPTY_ATOMS
-        key = (pred_id, position, term_id)
-        cached = self._sorted_position.get(key)
-        if cached is None:
-            bucket = self._by_position.get(key)
-            if bucket is None:
-                return _EMPTY_ATOMS
-            cached = tuple(
-                sorted(self._atom_at(pred_id, row) for row in bucket)
+        earlier = ()
+        if distinct and pivot:
+            earlier = tuple(
+                (
+                    self._pred_id(atom.predicate),
+                    tuple_getter([slots[t] for t in atom.args]),
+                )
+                for atom in atoms[:pivot]
             )
-            self._sorted_position[key] = cached
-        return cached
+        return _Plan(tuple(steps), width, tuple(constants), earlier)
 
-    def signature(self) -> list[Predicate]:
-        """The predicates with at least one row (materialized view)."""
-        predicates = self._vocabulary.predicates
-        return [
-            predicates[pred_id]
-            for pred_id, rows in self._row_sets.items()
-            if rows
-        ]
+    def new_images(
+        self, component: BodyComponent, distinct: bool
+    ) -> Iterator[tuple]:
+        """Yield the images of ``component`` that use ≥ 1 delta row, by
+        the pivot decomposition of :func:`repro.engine.core.delta_images`."""
+        delta = self._delta
+        for i, pivot in enumerate(component.atoms):
+            first = delta.rows(self._pred_id(pivot.predicate))
+            if first:
+                plan = self._plan(component, i, distinct)
+                yield from _matches(plan, first, delta)
 
-    def sorted_atoms(self) -> list[Atom]:
-        """Every atom, materialized, in the library's deterministic order."""
-        return sorted(self)
+    def full_images(self, component: BodyComponent) -> list:
+        """All images of ``component`` in the store, once each."""
+        plan = self._plan(component, None, False)
+        values = [None] * plan.width
+        values.extend(plan.constants)
+        first = _candidates(plan.steps[0], values)
+        return list(_matches(plan, first, self._delta))
+
+
+class HeadRows:
+    """A rule's head template (:meth:`Rule.head_template
+    <repro.rules.rule.Rule.head_template>`) over term ids.
+
+    Called with a body image and the existential nulls as id tuples, it
+    returns the head's ``(pred_id, term_ids)`` rows.  Every head symbol
+    must be in the vocabulary — the parent interns them all
+    (:meth:`WireEncoder.intern_rules
+    <repro.engine.wire.WireEncoder.intern_rules>`) before shipping a
+    rule's work.
+    """
+
+    __slots__ = ("atoms", "constants")
+
+    def __init__(self, rule: Rule, vocabulary: Vocabulary):
+        atoms, constants = rule.head_template()
+        try:
+            self.atoms = tuple(
+                (vocabulary.predicate_ids[predicate], get)
+                for predicate, get in atoms
+            )
+            self.constants = tuple(vocabulary.term_ids[c] for c in constants)
+        except KeyError as exc:
+            raise ChaseError(
+                f"head symbol {exc.args[0]} of {rule} was never shipped"
+            ) from None
+
+    def __call__(self, image: tuple, nulls: tuple = ()) -> set[tuple]:
+        values = image + nulls + self.constants
+        return {(pred_id, get(values)) for pred_id, get in self.atoms}
+
+
+def derive_rows(
+    rules: Iterable[Rule],
+    store: ColumnarInstance,
+    delta: ColumnarInstance,
+) -> dict[int, set[tuple]]:
+    """One derivation round on ids: the head rows, per predicate id, of
+    every body image using ≥ 1 delta row — the id twin of
+    :func:`repro.engine.core.derive_round_atoms`."""
+    matcher = ColumnarMatcher(store, delta)
+    vocabulary = store.vocabulary
+    derived: dict[int, set[tuple]] = {}
+    for rule in rules:
+        head = HeadRows(rule, vocabulary)
+        images = body_images(rule, matcher, distinct=False)
+        if head.constants:
+            images = [image + head.constants for image in images]
+        elif len(head.atoms) > 1:
+            images = list(images)
+        for pred_id, get in head.atoms:
+            rows = derived.get(pred_id)
+            if rows is None:
+                rows = derived[pred_id] = set()
+            rows.update(map(get, images))
+    return derived
+
+
+def enumerate_images(
+    rules: Sequence[Rule],
+    store: ColumnarInstance,
+    delta: ColumnarInstance,
+) -> list[list[tuple]]:
+    """One enumeration round on ids: per rule, the body images (term-id
+    tuples along its body-variable order) using ≥ 1 delta row, each
+    once — the id twin of :func:`repro.engine.core.delta_images`."""
+    matcher = ColumnarMatcher(store, delta)
+    return [list(body_images(rule, matcher, distinct=True)) for rule in rules]

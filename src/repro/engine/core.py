@@ -2,9 +2,12 @@
 
 One decomposition serves every delta-driven round in the library: trigger
 enumeration for the chase variants
-(:func:`repro.chase.trigger.new_triggers_of`), sharded enumeration in the
-persistent scheduler, and head derivation for the Datalog closure
-(:func:`repro.rewriting.datalog.semi_naive_closure`).
+(:func:`repro.chase.trigger.new_triggers_of`), sharded enumeration and
+derivation in the persistent workers, and head derivation for the Datalog
+closure (:func:`repro.rewriting.datalog.semi_naive_closure`).  It is
+:func:`body_images`, written over a per-component *matcher*: the
+:class:`ObjectMatcher` over object instances, or the workers' id kernel
+(:class:`repro.engine.columnar.ColumnarMatcher`) over columnar replicas.
 
 A homomorphism of a rule body is one homomorphism per connected body
 component (:meth:`~repro.rules.rule.Rule.body_components`), and it uses a
@@ -57,32 +60,51 @@ def image_sort_key(image: tuple[Term, ...]) -> tuple:
     return tuple([(t._rank, t.name) for t in image])
 
 
-def _new_images(
-    component: BodyComponent,
-    instance: Instance,
-    delta_inst: Instance,
-    distinct: bool,
-) -> Iterator[tuple]:
-    """Yield the images of ``component`` that use ≥ 1 delta atom.
-
-    With ``distinct``, pivot ``i`` keeps a match only when no earlier
-    pivot maps into the delta — otherwise that earlier pivot found the
-    match already — so each image comes out once and none is held for
-    deduplication.
+class ObjectMatcher:
+    """The per-component matcher of :func:`body_images` over object
+    instances: the library's homomorphism matcher
+    (:mod:`repro.logic.homomorphisms`), with images read off its raw
+    bindings.  The persistent workers' id twin is
+    :class:`repro.engine.columnar.ColumnarMatcher`.
     """
-    atoms = component.atoms
-    image_of = component.image_of
-    for i, pivot in enumerate(atoms):
-        candidates = delta_inst.sorted_with_predicate(pivot.predicate)
-        if not candidates:
-            continue
-        earlier = atoms[:i] if distinct else ()
-        for binding in pivot_bindings(atoms, instance, pivot, candidates):
-            for atom in earlier:
-                if atom.apply(binding) in delta_inst:
-                    break
-            else:
-                yield image_of(binding)
+
+    __slots__ = ("full", "instance", "delta")
+
+    def __init__(self, instance: Instance, delta_inst: Instance):
+        self.full = delta_inst is instance
+        self.instance = instance
+        self.delta = delta_inst
+
+    def new_images(
+        self, component: BodyComponent, distinct: bool
+    ) -> Iterator[tuple]:
+        """Yield the images of ``component`` that use ≥ 1 delta atom.
+
+        With ``distinct``, pivot ``i`` keeps a match only when no earlier
+        pivot maps into the delta — otherwise that earlier pivot found
+        the match already — so each image comes out once and none is
+        held for deduplication.
+        """
+        instance = self.instance
+        delta_inst = self.delta
+        atoms = component.atoms
+        image_of = component.image_of
+        for i, pivot in enumerate(atoms):
+            candidates = delta_inst.sorted_with_predicate(pivot.predicate)
+            if not candidates:
+                continue
+            earlier = atoms[:i] if distinct else ()
+            for binding in pivot_bindings(atoms, instance, pivot, candidates):
+                for atom in earlier:
+                    if atom.apply(binding) in delta_inst:
+                        break
+                else:
+                    yield image_of(binding)
+
+    def full_images(self, component: BodyComponent) -> list[tuple]:
+        """All images of ``component`` in the instance, once each."""
+        image_of = component.image_of
+        return [image_of(b) for b in bindings(component.atoms, self.instance)]
 
 
 def _touches_delta(
@@ -101,12 +123,6 @@ def _touches_delta(
     return False
 
 
-def _full_images(component: BodyComponent, instance: Instance) -> list[tuple]:
-    """All images of ``component`` in ``instance``, once each."""
-    image_of = component.image_of
-    return [image_of(b) for b in bindings(component.atoms, instance)]
-
-
 def _product(factors: list[list[tuple]]) -> Iterator[tuple]:
     """Concatenated component images of a product of image lists."""
     if len(factors) == 1:
@@ -118,35 +134,29 @@ def _product(factors: list[list[tuple]]) -> Iterator[tuple]:
 
 
 def _component_images(
-    components: tuple[BodyComponent, ...],
-    instance: Instance,
-    delta_inst: Instance,
-    distinct: bool,
+    components: tuple[BodyComponent, ...], matcher, distinct: bool
 ) -> Iterator[tuple]:
     """Concatenated component images of the body homomorphisms using
     ≥ 1 delta atom: ``⋃_i old_<i × new_i × full_>i``, each once."""
-    if delta_inst is instance:
+    if matcher.full:
         fulls = []
         for component in components:
-            images = _full_images(component, instance)
+            images = matcher.full_images(component)
             if not images:
                 return
             fulls.append(images)
         yield from _product(fulls)
         return
     if len(components) == 1:
-        yield from _new_images(components[0], instance, delta_inst, distinct)
+        yield from matcher.new_images(components[0], distinct)
         return
-    news = [
-        list(_new_images(c, instance, delta_inst, distinct))
-        for c in components
-    ]
+    news = [list(matcher.new_images(c, distinct)) for c in components]
     fulls: list[list[tuple] | None] = [None] * len(components)
     olds: list[list[tuple] | None] = [None] * len(components)
 
     def full(j: int) -> list[tuple]:
         if fulls[j] is None:
-            fulls[j] = _full_images(components[j], instance)
+            fulls[j] = matcher.full_images(components[j])
         return fulls[j]
 
     def old(j: int) -> list[tuple]:
@@ -168,6 +178,31 @@ def _component_images(
             yield from _product(factors)
 
 
+def body_images(rule: Rule, matcher, distinct: bool) -> Iterator[tuple]:
+    """The body images of ``rule`` using ≥ 1 delta atom, each once (or,
+    without ``distinct``, once per delta atom of a component they use),
+    assembled along ``rule.body_variable_order()``.
+
+    ``matcher`` matches one component at a time: it has ``full`` (the
+    delta *is* the instance), ``new_images(component, distinct)`` and
+    ``full_images(component)``, yielding images along each
+    component's terms — an :class:`ObjectMatcher`, or the workers'
+    id-native :class:`~repro.engine.columnar.ColumnarMatcher`.  The
+    decomposition around them is this one function for both.
+    """
+    components, assemble = rule.body_components()
+    images = _component_images(components, matcher, distinct)
+    if assemble is None:
+        return images
+    if distinct and sum(len(c.terms) for c in components) > len(
+        rule.body_variable_order()
+    ):
+        # Nulls in the body bind like variables but are no part of the
+        # image: two homomorphisms may differ on them only.
+        return iter(dict.fromkeys(map(assemble, images)))
+    return map(assemble, images)
+
+
 def delta_images(
     rule: Rule,
     instance: Instance,
@@ -187,17 +222,7 @@ def delta_images(
     of a multi-atom component: for derivation, whose atom set absorbs
     the repeats.
     """
-    components, assemble = rule.body_components()
-    images = _component_images(components, instance, delta_inst, distinct)
-    if assemble is None:
-        return images
-    if distinct and sum(len(c.terms) for c in components) > len(
-        rule.body_variable_order()
-    ):
-        # Nulls in the body bind like variables but are no part of the
-        # image: two homomorphisms may differ on them only.
-        return iter(dict.fromkeys(map(assemble, images)))
-    return map(assemble, images)
+    return body_images(rule, ObjectMatcher(instance, delta_inst), distinct)
 
 
 def any_delta_image(

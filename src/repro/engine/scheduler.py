@@ -370,7 +370,12 @@ class RoundScheduler:
                 rule_indexes[trigger.rule] = rule_index
                 fire_rules.append(trigger.rule)
             tasks_per_worker[index % self.config.workers].append(
-                (index, rule_index, trigger.mapping, existential_maps[index])
+                (
+                    index,
+                    rule_index,
+                    trigger.image(),
+                    tuple(existential_maps[index].values()),
+                )
             )
         if fire_rules:
             outputs.update(self._pool().fire(fire_rules, tasks_per_worker))
@@ -437,7 +442,7 @@ class RoundScheduler:
                 rule_indexes[trigger.rule] = rule_index
                 probe_rules.append(trigger.rule)
             tasks_per_worker[index % workers].append(
-                (index, rule_index, trigger.mapping)
+                (index, rule_index, trigger.image())
             )
             ground_count += 1
         if ground_count < 2:

@@ -1,7 +1,8 @@
 """Hash-sharded routing of per-round deltas.
 
 A :class:`ShardedIndex` partitions the atoms of a growing instance across
-``W`` shards by stable atom hash.  The ``persistent`` round scheduler
+``W`` shards by a stable atom hash (:func:`route_hash`, the same in every
+process).  The ``persistent`` round scheduler
 feeds each worker the *delta view* of its shards (the slice of the atoms
 added since the last round) as its pivot-candidate source; the union of
 the views is the round's delta, so the merged enumeration is exactly the
@@ -10,11 +11,14 @@ route straight into the per-round views and only per-shard counters
 outlive a round — the full instance (or a worker's replica of it) is the
 only cumulative copy.  Shard assignment is hash-based and therefore
 arbitrary — no result may depend on it, which the cross-engine
-equivalence tests enforce by varying worker/shard counts.
+equivalence tests enforce by varying worker/shard counts — but it is
+stable: the work and the bytes each worker gets do not follow
+``PYTHONHASHSEED``, so transport counters repeat across processes.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Iterable
 
 from repro.errors import ChaseError
@@ -36,6 +40,15 @@ def atom_weight(atom: Atom) -> int:
     distinguishes a shard of wide atoms from a shard of narrow ones.
     """
     return 1 + len(atom.args)
+
+
+def route_hash(atom: Atom) -> int:
+    """A hash of ``atom`` that every process agrees on: CRC-32 over its
+    predicate and term names.  (``hash(atom)`` follows the interpreter's
+    ``PYTHONHASHSEED``.)"""
+    names = [atom.predicate.name]
+    names.extend(term.name for term in atom.args)
+    return zlib.crc32("\x1f".join(names).encode())
 
 
 class ShardedIndex:
@@ -67,11 +80,8 @@ class ShardedIndex:
         return self._ingested
 
     def shard_of(self, atom: Atom) -> int:
-        """The shard an atom routes to (stable within a process)."""
-        # checks: allow[D102] -- routing only decides *which worker* computes;
-        # outputs re-merge by canonical trigger index, so results are
-        # bit-identical across routings (pinned by the equivalence matrix).
-        return hash(atom) % len(self._counts)
+        """The shard an atom routes to (the same in every process)."""
+        return route_hash(atom) % len(self._counts)
 
     def ingest(self, atoms: Iterable[Atom]) -> tuple[Instance, ...]:
         """Route ``atoms`` into their shards; return this batch's views.
@@ -87,8 +97,7 @@ class ShardedIndex:
         ingested = 0
         weights = self._weights
         for atom in atoms:
-            # checks: allow[D102] -- same routing-only bucketing as shard_of.
-            index = hash(atom) % count
+            index = route_hash(atom) % count
             if views[index].add(atom):
                 counts[index] += 1
                 weights[index] += atom_weight(atom)

@@ -29,20 +29,23 @@ Flat buffers
     pack a trigger as its *body-variable image* along the rule's
     canonical :meth:`~repro.rules.rule.Rule.body_variable_order` (plus
     drawn null ids along :meth:`~repro.rules.rule.Rule.existential_order`
-    for fire), exploiting that a trigger *is* its image: a
-    :class:`~repro.chase.trigger.Trigger` stores only the image and
-    rebuilds its mapping from it.  Decoded atoms rebuild through the
-    cached-hash fast path :func:`repro.logic.atoms.build_atom`.
+    for fire), exploiting that a trigger *is* its image: the parent
+    packs :meth:`Trigger.image <repro.chase.trigger.Trigger.image>` as
+    it is, and the worker decodes it (:func:`decode_fire_tasks`,
+    :func:`decode_probe_tasks`) to a term-id tuple that it instantiates
+    heads on directly.  Decoded atoms rebuild through the cached-hash
+    fast path :func:`repro.logic.atoms.build_atom`.
 
 Replies
     Workers answer with one packed buffer per message (one reply per
-    worker slice, not per trigger).  A reply references symbols as
-    ``2 * table_id`` when the shared table holds them, or as
-    ``2 * literal_index + 1`` for message-local literals shipped
-    alongside the buffer — the escape hatch for symbols the parent never
-    shipped (in practice :meth:`WireEncoder.intern_rules` pre-interns
-    every head symbol a reply can mention, so the literal lists stay
-    empty).
+    worker slice, not per trigger), written straight from their id rows:
+    a symbol is referenced as ``2 * table_id``.  The format also has
+    ``2 * literal_index + 1`` refs to message-local literals shipped
+    alongside the buffer, which the parent's :class:`ReplyReader` still
+    decodes; id-native workers never write one, because every symbol a
+    reply can mention is in the table — replica rows and task images are
+    table ids, and :meth:`WireEncoder.intern_rules` pre-interns every
+    head symbol.
 
 Reply envelope
     Every worker reply is ``(status, value, timings)`` built by
@@ -71,7 +74,6 @@ from typing import Iterable, Sequence
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, build_atom
 from repro.logic.predicates import Predicate
-from repro.logic.substitutions import Substitution
 from repro.logic.terms import Term, term_from_wire
 from repro.rules.rule import Rule
 
@@ -296,31 +298,29 @@ class WireEncoder:
     def encode_fire_tasks(
         self, rules: Sequence[Rule], tasks: Iterable[tuple]
     ) -> bytes:
-        """Pack firing tasks ``(index, rule_index, mapping, nulls)``.
+        """Pack firing tasks ``(index, rule_index, image, nulls)``.
 
-        Layout per task: ``index, rule_index``, the mapping's image along
-        the rule's canonical body-variable order, then the parent-drawn
-        null ids along the existential order.
+        ``image`` is the trigger's body image along the rule's canonical
+        body-variable order (:meth:`Trigger.image
+        <repro.chase.trigger.Trigger.image>`), ``nulls`` the parent-drawn
+        nulls along its existential order.  Layout per task: ``index,
+        rule_index``, the image's term ids, then the null ids.
         """
         self.intern_rules(rules)
         intern = self.terms.intern
         ids: list[int] = []
         append = ids.append
-        for index, rule_index, mapping, existential_map in tasks:
-            rule = rules[rule_index]
+        for index, rule_index, image, nulls in tasks:
             append(index)
             append(rule_index)
-            apply_term = mapping.apply_term
-            for variable in rule.body_variable_order():
-                append(intern(apply_term(variable)))
-            for variable in rule.existential_order():
-                append(intern(existential_map[variable]))
+            ids.extend(map(intern, image))
+            ids.extend(map(intern, nulls))
         return pack_ids(ids)
 
     def encode_probe_tasks(
         self, rules: Sequence[Rule], tasks: Iterable[tuple]
     ) -> bytes:
-        """Pack probe tasks ``(index, rule_index, mapping)``.
+        """Pack probe tasks ``(index, rule_index, image)``.
 
         Same layout as fire tasks minus the null ids — probe tasks are
         existential-free by construction.
@@ -329,12 +329,10 @@ class WireEncoder:
         intern = self.terms.intern
         ids: list[int] = []
         append = ids.append
-        for index, rule_index, mapping in tasks:
+        for index, rule_index, image in tasks:
             append(index)
             append(rule_index)
-            apply_term = mapping.apply_term
-            for variable in rules[rule_index].body_variable_order():
-                append(intern(apply_term(variable)))
+            ids.extend(map(intern, image))
         return pack_ids(ids)
 
 
@@ -342,7 +340,8 @@ class WireDecoder:
     """Worker-side replica of the parent's symbol tables.
 
     Grown strictly by :meth:`apply_segment` in message order; holds the
-    reverse maps so :class:`ReplyWriter` can emit table refs.
+    reverse maps so the worker can compile rule symbols to ids
+    (:class:`repro.engine.columnar.Vocabulary` views them).
     """
 
     __slots__ = ("terms", "term_ids", "predicates", "predicate_ids")
@@ -387,126 +386,44 @@ class WireDecoder:
             atoms.append(build_atom(predicate, args))
         return atoms
 
-    def decode_fire_tasks(
-        self, data: bytes, rules: Sequence[Rule]
-    ) -> list[tuple]:
-        """Unpack fire tasks back to ``(index, rule_index, mapping, nulls)``."""
-        buf = unpack_ids(data)
-        terms = self.terms
-        tasks: list[tuple] = []
-        position, end = 0, len(buf)
-        while position < end:
-            index = buf[position]
-            rule_index = buf[position + 1]
-            position += 2
-            rule = rules[rule_index]
-            mapping: dict = {}
-            for variable in rule.body_variable_order():
-                term = terms[buf[position]]
-                position += 1
-                if term != variable:
-                    mapping[variable] = term
-            existential_map: dict = {}
-            for variable in rule.existential_order():
-                existential_map[variable] = terms[buf[position]]
-                position += 1
-            tasks.append(
-                (
-                    index,
-                    rule_index,
-                    Substitution._from_clean(mapping),
-                    existential_map,
-                )
-            )
-        return tasks
 
-    def decode_probe_tasks(
-        self, data: bytes, rules: Sequence[Rule]
-    ) -> list[tuple]:
-        """Unpack probe tasks back to ``(index, rule_index, mapping)``."""
-        buf = unpack_ids(data)
-        terms = self.terms
-        tasks: list[tuple] = []
-        position, end = 0, len(buf)
-        while position < end:
-            index = buf[position]
-            rule_index = buf[position + 1]
-            position += 2
-            mapping: dict = {}
-            for variable in rules[rule_index].body_variable_order():
-                term = terms[buf[position]]
-                position += 1
-                if term != variable:
-                    mapping[variable] = term
-            tasks.append((index, rule_index, Substitution._from_clean(mapping)))
-        return tasks
-
-
-class ReplyWriter:
-    """Worker-side encoder of one packed reply buffer.
-
-    Symbol refs are ``2 * table_id`` for symbols the shared table holds,
-    ``2 * literal_index + 1`` for message-local literals shipped beside
-    the buffer — the escape hatch for symbols the parent never interned
-    (kept for robustness; ``intern_rules`` makes it a cold path).
-    """
-
-    __slots__ = (
-        "_decoder",
-        "_ids",
-        "_literal_terms",
-        "_literal_term_ids",
-        "_literal_predicates",
-        "_literal_predicate_ids",
-    )
-
-    def __init__(self, decoder: WireDecoder):
-        self._decoder = decoder
-        self._ids: list[int] = []
-        self._literal_terms: list[tuple[int, str]] = []
-        self._literal_term_ids: dict[Term, int] = {}
-        self._literal_predicates: list[tuple[str, int]] = []
-        self._literal_predicate_ids: dict[Predicate, int] = {}
-
-    def write_int(self, value: int) -> None:
-        self._ids.append(value)
-
-    def write_term(self, term: Term) -> None:
-        index = self._decoder.term_ids.get(term)
-        if index is not None:
-            self._ids.append(index << 1)
-            return
-        literal = self._literal_term_ids.get(term)
-        if literal is None:
-            literal = len(self._literal_terms)
-            self._literal_term_ids[term] = literal
-            self._literal_terms.append((type(term)._rank, term.name))
-        self._ids.append((literal << 1) | 1)
-
-    def write_predicate(self, predicate: Predicate) -> None:
-        index = self._decoder.predicate_ids.get(predicate)
-        if index is not None:
-            self._ids.append(index << 1)
-            return
-        literal = self._literal_predicate_ids.get(predicate)
-        if literal is None:
-            literal = len(self._literal_predicates)
-            self._literal_predicate_ids[predicate] = literal
-            self._literal_predicates.append((predicate.name, predicate.arity))
-        self._ids.append((literal << 1) | 1)
-
-    def write_atom(self, atom: Atom) -> None:
-        self.write_predicate(atom.predicate)
-        for term in atom.args:
-            self.write_term(term)
-
-    def finish(self) -> tuple:
-        """The reply payload: ``(literal_terms, literal_preds, buffer)``."""
-        return (
-            tuple(self._literal_terms),
-            tuple(self._literal_predicates),
-            pack_ids(self._ids),
+def decode_fire_tasks(data: bytes, rules: Sequence[Rule]) -> list[tuple]:
+    """Unpack fire tasks to ``(index, rule_index, image_ids, null_ids)``:
+    the image and the nulls stay term-id tuples, which the worker
+    instantiates heads on directly."""
+    buf = unpack_ids(data)
+    tasks: list[tuple] = []
+    position, end = 0, len(buf)
+    while position < end:
+        index = buf[position]
+        rule_index = buf[position + 1]
+        rule = rules[rule_index]
+        start = position + 2
+        middle = start + len(rule.body_variable_order())
+        position = middle + len(rule.existential_order())
+        tasks.append(
+            (index, rule_index, tuple(buf[start:middle]),
+             tuple(buf[middle:position]))
         )
+    if position != end:
+        raise ChaseError("truncated packed fire tasks")
+    return tasks
+
+
+def decode_probe_tasks(data: bytes, rules: Sequence[Rule]) -> list[tuple]:
+    """Unpack probe tasks to ``(index, rule_index, image_ids)``."""
+    buf = unpack_ids(data)
+    tasks: list[tuple] = []
+    position, end = 0, len(buf)
+    while position < end:
+        index = buf[position]
+        rule_index = buf[position + 1]
+        start = position + 2
+        position = start + len(rules[rule_index].body_variable_order())
+        tasks.append((index, rule_index, tuple(buf[start:position])))
+    if position != end:
+        raise ChaseError("truncated packed probe tasks")
+    return tasks
 
 
 class ReplyReader:
@@ -560,12 +477,36 @@ class ReplyReader:
 # ----------------------------------------------------------------------
 
 
-def encode_derive_reply(decoder: WireDecoder, atoms: Iterable[Atom]) -> tuple:
-    """Pack a derived atom set: atoms until end of buffer."""
-    writer = ReplyWriter(decoder)
-    for atom in atoms:
-        writer.write_atom(atom)
-    return writer.finish()
+def _reply(ids: list[int]) -> tuple:
+    """The reply payload ``(literal_terms, literal_predicates, buffer)``
+    for a buffer of table refs: worker replies are written from id rows,
+    so every symbol is a table ref and the literal lists stay empty."""
+    return ((), (), pack_ids(ids))
+
+
+# checks: hot
+def _write_rows(ids: list[int], rows: Iterable[tuple]) -> None:
+    """Append ``(pred_id, term_ids)`` rows as table refs."""
+    append = ids.append
+    for pred_id, term_ids in rows:
+        append(pred_id << 1)
+        for term_id in term_ids:
+            append(term_id << 1)
+
+
+# checks: hot
+def encode_derive_reply(derived: dict[int, Iterable[tuple]]) -> tuple:
+    """Pack derived rows (per predicate id, term-id tuples): atoms until
+    end of buffer."""
+    ids: list[int] = []
+    append = ids.append
+    for pred_id, rows in derived.items():
+        ref = pred_id << 1
+        for term_ids in rows:
+            append(ref)
+            for term_id in term_ids:
+                append(term_id << 1)
+    return _reply(ids)
 
 
 def decode_derive_reply(encoder: WireEncoder, reply: tuple) -> set[Atom]:
@@ -576,23 +517,22 @@ def decode_derive_reply(encoder: WireEncoder, reply: tuple) -> set[Atom]:
     return derived
 
 
-def encode_enumerate_reply(
-    decoder: WireDecoder,
-    rules: Sequence[Rule],
-    per_rule: Sequence[Sequence[tuple]],
-) -> tuple:
-    """Pack per-rule image lists: per rule a count, then flat images.
+# checks: hot
+def encode_enumerate_reply(per_rule: Iterable[Sequence[tuple]]) -> tuple:
+    """Pack per-rule image lists (term-id tuples): per rule a count,
+    then the flat images.
 
     A trigger is its image along the rule's canonical body-variable order
     (see module docstring), so images are all that crosses the wire.
     """
-    writer = ReplyWriter(decoder)
+    ids: list[int] = []
+    append = ids.append
     for images in per_rule:
-        writer.write_int(len(images))
+        append(len(images))
         for image in images:
-            for term in image:
-                writer.write_term(term)
-    return writer.finish()
+            for term_id in image:
+                append(term_id << 1)
+    return _reply(ids)
 
 
 def decode_enumerate_reply(
@@ -612,18 +552,15 @@ def decode_enumerate_reply(
     return results
 
 
-def encode_probe_reply(decoder: WireDecoder, results: Iterable[tuple]) -> tuple:
-    """Pack probe splits: per trigger ``index, |present|, |missing|, atoms``."""
-    writer = ReplyWriter(decoder)
+def encode_probe_reply(results: Iterable[tuple]) -> tuple:
+    """Pack probe splits ``(index, present_rows, missing_rows)``: per
+    trigger ``index, |present|, |missing|``, then the atoms."""
+    ids: list[int] = []
     for index, present, missing in results:
-        writer.write_int(index)
-        writer.write_int(len(present))
-        writer.write_int(len(missing))
-        for atom in present:
-            writer.write_atom(atom)
-        for atom in missing:
-            writer.write_atom(atom)
-    return writer.finish()
+        ids += (index, len(present), len(missing))
+        _write_rows(ids, present)
+        _write_rows(ids, missing)
+    return _reply(ids)
 
 
 def decode_probe_reply(
@@ -641,15 +578,14 @@ def decode_probe_reply(
     return results
 
 
-def encode_fire_reply(decoder: WireDecoder, pairs: Iterable[tuple]) -> tuple:
-    """Pack fire outputs: per trigger ``index, |atoms|, atoms``."""
-    writer = ReplyWriter(decoder)
-    for index, atoms in pairs:
-        writer.write_int(index)
-        writer.write_int(len(atoms))
-        for atom in atoms:
-            writer.write_atom(atom)
-    return writer.finish()
+def encode_fire_reply(pairs: Iterable[tuple]) -> tuple:
+    """Pack fire outputs ``(index, rows)``: per trigger ``index,
+    |atoms|``, then the atoms."""
+    ids: list[int] = []
+    for index, rows in pairs:
+        ids += (index, len(rows))
+        _write_rows(ids, rows)
+    return _reply(ids)
 
 
 def decode_fire_reply(

@@ -32,22 +32,27 @@ pickled — that is also how the pool accounts transport in
     do — replicas always mirror the parent instance at round start.
 ``("enumerate"|"derive", segment, sync_buf, pivot_buf)``
     One enumeration round: fold the packed ``sync_buf`` delta into the
-    replica, then run the shared delta core with the decoded
-    ``pivot_buf`` atoms (this worker's hash shards of the delta) as the
-    pivot source against the full replica.  Replies with one packed
-    buffer: per-rule image streams (``enumerate`` — the parent builds the
-    triggers from the images) or a derived atom stream (``derive``).
+    replica and the ``pivot_buf`` atoms (this worker's hash shards of the
+    delta) into a delta store, then run the id kernel
+    (:mod:`repro.engine.columnar`) — the shared delta decomposition over
+    a matcher that joins on the replica's id rows — with the delta store
+    as the pivot source.  Replies with one packed buffer, written
+    straight from id tuples: per-rule image streams (``enumerate`` — the
+    parent builds the triggers from the images) or the derived head rows
+    (``derive``).
 ``("probe", segment, sync_buf, rules, tasks_buf)``
     The worker-resident half of the restricted chase's satisfaction
     claim (the *probe/claim* gate): fold the sync delta into the
     replica, then, for each packed ``(index, rule_index, image)`` task —
-    one existential-free trigger of the round — instantiate the ground
-    head *once* and split it against the replica.  The reply packs the
-    whole slice into **one** buffer pairing each index with its
-    ``(present, missing)`` split: the head atoms already in the replica
-    and the would-be witnesses it lacks.  The parent resolves the final
-    claims lazily from the ``missing`` sets while it records the round
-    in canonical order (:meth:`RoundScheduler.fire_split_round
+    one existential-free trigger of the round, decoded to term ids —
+    instantiate the ground head rows *once* through the rule's head
+    template and split them with ``contains_row`` against the replica.
+    The reply packs the whole slice into **one** buffer pairing each
+    index with its ``(present, missing)`` split: the head atoms already
+    in the replica and the would-be witnesses it lacks.  The parent
+    resolves the final claims lazily from the ``missing`` sets while it
+    records the round in canonical order
+    (:meth:`RoundScheduler.fire_split_round
     <repro.engine.scheduler.RoundScheduler.fire_split_round>`), and the
     claimed triggers' outputs are exactly ``present ∪ missing`` — no
     second instantiation, parent- or worker-side.  The round's distinct
@@ -55,10 +60,11 @@ pickled — that is also how the pool accounts transport in
     seeds the worker.
 ``("fire", segment, rules, tasks_buf)``
     Instantiate head atoms for a slice of a round's triggers.  Each
-    packed task is ``(index, rule_index, image, null_ids)`` — the
-    trigger's homomorphism is reconstructed from its image along the
-    rule's canonical body-variable order.  The reply packs each index
-    with its instantiated output atoms into one buffer.  The distinct
+    packed task is ``(index, rule_index, image, nulls)`` — the trigger's
+    body image along the rule's canonical body-variable order and the
+    parent-drawn nulls along its existential order, decoded to term ids
+    and instantiated through the rule's head template on ids.  The reply
+    packs each index with its output rows into one buffer.  The distinct
     rules of the round ride along (a few hundred bytes) so firing works
     even before the first enumeration seeds the worker.
 ``("stop",)``
@@ -83,11 +89,12 @@ could hand a stale round reply to the next reader, so ``close()`` skips
 the stop handshake on a broken pool and tears the processes down by
 closing the pipes instead.
 
-Decoded terms and atoms rebuild through their constructors on arrival
-(:func:`repro.logic.terms.term_from_wire`,
-:func:`repro.logic.atoms.build_atom` — and ``Term.__reduce__`` for the
-still-pickled rules), so cached hashes are recomputed under the worker's
-own ``PYTHONHASHSEED`` and replica indexes stay consistent.
+Workers build no ``Atom``: replicas, deltas, task images and replies
+are term-id rows.  The symbols themselves (table entries, and the
+still-pickled rules through ``Term.__reduce__``) rebuild through their
+constructors on arrival (:func:`repro.logic.terms.term_from_wire`), so
+cached hashes are recomputed under the worker's own ``PYTHONHASHSEED``;
+the worker only uses them to compile rule symbols to ids.
 """
 
 from __future__ import annotations
@@ -101,12 +108,18 @@ from typing import Iterable, Sequence
 from repro.engine import shm as shm_transport
 from repro.engine import wire
 from repro.obs.trace import active_round
-from repro.engine.columnar import ColumnarInstance, Vocabulary
+from repro.engine.columnar import (
+    ColumnarInstance,
+    HeadRows,
+    Vocabulary,
+    derive_rows,
+    enumerate_images,
+)
 from repro.engine.wire import WireEncoder
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
-from repro.rules.rule import Rule
+from repro.rules.rule import INSTANTIATION_STATS, Rule
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -264,48 +277,56 @@ TRANSPORT_STATS = TransportStats()
 
 
 def fire_tasks(
-    rules: Sequence[Rule], tasks: Iterable[tuple]
-) -> list[tuple[int, set[Atom]]]:
-    """Instantiate the head atoms of a slice of firing tasks.
+    rules: Sequence[Rule], vocabulary: Vocabulary, tasks: Iterable[tuple]
+) -> list[tuple[int, set[tuple]]]:
+    """Instantiate the head rows of a slice of firing tasks.
 
-    Each task is ``(index, rule_index, mapping, existential_map)``.  The
-    instantiation is :meth:`Rule.instantiate_head
-    <repro.rules.rule.Rule.instantiate_head>` — the same code
-    :meth:`Trigger.output <repro.chase.trigger.Trigger.output>` runs, so
-    a worker returns exactly the atoms the sequential engine would have
-    produced.
+    Each task is ``(index, rule_index, image_ids, null_ids)``, as
+    :func:`repro.engine.wire.decode_fire_tasks` returns it.  The rows
+    are the rule's :meth:`head template
+    <repro.rules.rule.Rule.head_template>` over those ids — the same
+    template :meth:`Trigger.output <repro.chase.trigger.Trigger.output>`
+    reads, so a worker returns exactly the atoms the sequential engine
+    would have produced.  Each task counts one head instantiation in
+    :data:`~repro.rules.rule.INSTANTIATION_STATS`.
     """
-    return [
-        (index, rules[rule_index].instantiate_head(mapping, existential_map))
-        for index, rule_index, mapping, existential_map in tasks
+    heads = [HeadRows(rule, vocabulary) for rule in rules]
+    results = [
+        (index, heads[rule_index](image, nulls))
+        for index, rule_index, image, nulls in tasks
     ]
+    INSTANTIATION_STATS.heads += len(results)
+    return results
 
 
 def probe_tasks(
-    rules: Sequence[Rule], instance: Instance, tasks: Iterable[tuple]
-) -> list[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]]:
+    rules: Sequence[Rule], replica: ColumnarInstance, tasks: Iterable[tuple]
+) -> list[tuple[int, list[tuple], list[tuple]]]:
     """Instantiate and satisfaction-probe a slice of ground-head triggers.
 
-    Each task is ``(index, rule_index, mapping)`` for an existential-free
-    trigger: the body homomorphism grounds the whole head, so the head is
-    instantiated exactly once and split against ``instance`` (the worker's
-    replica, mirroring the chase instance at round start) into the atoms
-    already ``present`` and the witnesses ``missing``.  The trigger is
-    unsatisfied at round start iff ``missing`` is non-empty; the parent
-    finalizes the claim against the atoms the round has recorded *before*
-    the trigger (only the ``missing`` atoms need re-checking — ``present``
-    atoms can never leave an append-only chase instance), and a claimed
-    trigger's output is ``present ∪ missing``.  Atoms are sorted so the
-    reply bytes are deterministic.
+    Each task is ``(index, rule_index, image_ids)`` for an
+    existential-free trigger: the body homomorphism grounds the whole
+    head, so the head rows are instantiated exactly once (and counted,
+    as in :func:`fire_tasks`) and split against ``replica`` (the
+    worker's replica, mirroring the chase instance at round start) into
+    the rows already ``present`` and the witnesses ``missing``.  The
+    trigger is unsatisfied at round start iff ``missing`` is non-empty;
+    the parent finalizes the claim against the atoms the round has
+    recorded *before* the trigger (only the ``missing`` atoms need
+    re-checking — ``present`` atoms can never leave an append-only chase
+    instance), and a claimed trigger's output is ``present ∪ missing``.
+    Rows are sorted so the reply bytes are deterministic.
     """
-    results: list[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]] = []
-    for index, rule_index, mapping in tasks:
-        head = rules[rule_index].instantiate_head(mapping)
-        present: list[Atom] = []
-        missing: list[Atom] = []
-        for head_atom in head:
-            (present if head_atom in instance else missing).append(head_atom)
-        results.append((index, tuple(sorted(present)), tuple(sorted(missing))))
+    heads = [HeadRows(rule, replica.vocabulary) for rule in rules]
+    contains_row = replica.contains_row
+    results: list[tuple[int, list[tuple], list[tuple]]] = []
+    for index, rule_index, image in tasks:
+        present: list[tuple] = []
+        missing: list[tuple] = []
+        for row in sorted(heads[rule_index](image)):
+            (present if contains_row(*row) else missing).append(row)
+        results.append((index, present, missing))
+    INSTANTIATION_STATS.heads += len(results)
     return results
 
 
@@ -315,10 +336,10 @@ def _worker_main(conn) -> None:
 
     The replica is an id-native
     :class:`~repro.engine.columnar.ColumnarInstance` over the decoder's
-    table replica: packed seed/sync buffers fold straight into flat id
-    columns (``decode_atoms`` stays off the per-round hot path), probes
-    run on id tuples, and atoms materialize lazily only where the
-    matcher touches them.  Payload fields may arrive as
+    table replica: packed seed/sync buffers fold straight into its id
+    rows (``decode_atoms`` stays off the worker entirely), and every
+    command — derive, enumerate, probe, fire — runs on id tuples and
+    packs its reply from them.  Payload fields may arrive as
     :class:`~repro.engine.shm.SegmentRef`\\ s instead of bytes; they are
     resolved against a per-worker :class:`~repro.engine.shm.SegmentReader`
     (attach once per segment, memcpy per read) before decoding.
@@ -333,10 +354,6 @@ def _worker_main(conn) -> None:
     pickle are excluded — the triple measures worker compute, not pipe
     idleness.
     """
-    # Imported here (not at module top) to keep the spawn path lean: the
-    # scheduler module pulls in the whole engine package.
-    from repro.engine.scheduler import _run_shard
-
     perf = time.perf_counter
     rules: tuple[Rule, ...] = ()
     decoder = wire.WireDecoder()
@@ -387,36 +404,36 @@ def _worker_main(conn) -> None:
                 pivot_buf = resolve(reader, pivot_buf)
                 decoded = perf()
                 replica.ingest_packed(sync_buf)
-                view = ColumnarInstance(vocabulary)
-                view.ingest_packed(pivot_buf)
-                result = _run_shard(command, rules, replica, view)
-                executed = perf()
+                delta = ColumnarInstance(vocabulary)
+                delta.ingest_packed(pivot_buf)
                 if command == "derive":
-                    value = wire.encode_derive_reply(decoder, result)
+                    result = derive_rows(rules, replica, delta)
+                    executed = perf()
+                    value = wire.encode_derive_reply(result)
                 else:
-                    value = wire.encode_enumerate_reply(
-                        decoder, rules, result
-                    )
+                    result = enumerate_images(rules, replica, delta)
+                    executed = perf()
+                    value = wire.encode_enumerate_reply(result)
             elif command == "probe":
                 _, segment, sync_buf, probe_rules, tasks_buf = message
                 decoder.apply_segment(segment)
                 sync_buf = resolve(reader, sync_buf)
                 tasks_buf = resolve(reader, tasks_buf)
-                tasks = decoder.decode_probe_tasks(tasks_buf, probe_rules)
+                tasks = wire.decode_probe_tasks(tasks_buf, probe_rules)
                 decoded = perf()
                 replica.ingest_packed(sync_buf)
                 results = probe_tasks(probe_rules, replica, tasks)
                 executed = perf()
-                value = wire.encode_probe_reply(decoder, results)
+                value = wire.encode_probe_reply(results)
             elif command == "fire":
                 _, segment, fire_rules, tasks_buf = message
                 decoder.apply_segment(segment)
                 tasks_buf = resolve(reader, tasks_buf)
-                tasks = decoder.decode_fire_tasks(tasks_buf, fire_rules)
+                tasks = wire.decode_fire_tasks(tasks_buf, fire_rules)
                 decoded = perf()
-                pairs = fire_tasks(fire_rules, tasks)
+                pairs = fire_tasks(fire_rules, vocabulary, tasks)
                 executed = perf()
-                value = wire.encode_fire_reply(decoder, pairs)
+                value = wire.encode_fire_reply(pairs)
             else:
                 raise ChaseError(f"unknown worker command {command!r}")
             reply = wire.pack_reply(
@@ -929,7 +946,8 @@ class WorkerPool:
         like ``fire`` — the probe never reseeds the pool's resident rule
         list), ``tasks_per_worker`` assigns each worker its slice of the
         round's existential-free triggers as ``(index, rule_index,
-        mapping)`` tasks, packed into one flat buffer per worker.  The
+        image)`` tasks (the trigger's body image), packed into one flat
+        buffer per worker.  The
         sync payload — everything the replicas have not seen yet — is
         computed here and shipped to *every* worker, so each probe runs
         against a replica mirroring the chase instance at round start.
@@ -1010,8 +1028,11 @@ class WorkerPool:
     ) -> list[tuple[int, set[Atom]]]:
         """Fan one round's firing tasks across the pool.
 
-        Tasks are packed into one flat buffer per worker and each worker
-        answers its whole slice in one packed reply.  Returns the
+        Tasks are ``(index, rule_index, image, nulls)``: the trigger's
+        body image and its parent-drawn nulls along the rule's
+        existential order.  They are packed into one flat buffer per
+        worker and each worker answers its whole slice in one packed
+        reply.  Returns the
         concatenated ``(index, output_atoms)`` pairs; the caller
         re-orders by index, so reply order is irrelevant.
         """

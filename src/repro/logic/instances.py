@@ -220,7 +220,7 @@ class Instance:
 
     def sorted_atoms(self) -> list[Atom]:
         """Return the atoms in the library's deterministic order."""
-        return sorted(self._atoms)
+        return sorted(self._atoms, key=Atom.sort_key)
 
     def with_predicate(self, predicate: Predicate) -> frozenset[Atom]:
         """Return the atoms over ``predicate`` (cached immutable view)."""
@@ -250,7 +250,7 @@ class Instance:
         cached = self._sorted_predicate.get(predicate)
         if cached is None:
             bucket = self._by_predicate.get(predicate)
-            cached = tuple(sorted(bucket)) if bucket else ()
+            cached = tuple(sorted(bucket, key=Atom.sort_key)) if bucket else ()
             self._sorted_predicate[predicate] = cached
         return cached
 
@@ -268,7 +268,7 @@ class Instance:
             bucket = self._by_position.get(key)
             if bucket is None:
                 return ()
-            cached = tuple(sorted(bucket))
+            cached = tuple(sorted(bucket, key=Atom.sort_key))
             self._sorted_position[key] = cached
         return cached
 

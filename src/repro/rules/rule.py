@@ -328,7 +328,7 @@ class Rule:
     # Head instantiation
     # ------------------------------------------------------------------
 
-    def _template(self) -> tuple:
+    def head_template(self) -> tuple:
         """The head template: per head atom its predicate and a getter
         that reads the atom's arguments off ``image + nulls + constants``
         (body image along :meth:`body_variable_order`, nulls along
@@ -366,7 +366,7 @@ class Rule:
         derivation read heads through here.  Firing goes through
         :meth:`instantiate_image`.
         """
-        atoms, constants = self._template()
+        atoms, constants = self.head_template()
         values = image + nulls + constants if nulls or constants else image
         return {build_atom(predicate, get(values)) for predicate, get in atoms}
 
@@ -374,11 +374,12 @@ class Rule:
         """The output of firing the trigger with body image ``image``.
 
         The single definition of what firing a trigger produces: the
-        sequential :meth:`~repro.chase.trigger.Trigger.output`, the
-        batched firing paths and the sharded firing workers
-        (:func:`repro.engine.workers.fire_tasks`, through
-        :meth:`instantiate_head`) all call this, so the engines cannot
-        drift apart.  Counted in :data:`INSTANTIATION_STATS`.
+        sequential :meth:`~repro.chase.trigger.Trigger.output` and the
+        batched firing paths call this, and the sharded firing workers
+        read the same :meth:`head_template` over term ids
+        (:class:`repro.engine.columnar.HeadRows`), so the engines cannot
+        drift apart.  Counted in :data:`INSTANTIATION_STATS`, by the
+        workers too.
         """
         INSTANTIATION_STATS.heads += 1
         return self.head_atoms(image, nulls)

@@ -26,9 +26,9 @@ from repro.engine import (
     resolve_engine,
 )
 from repro.errors import ChaseError
-from repro.logic.atoms import atom
+from repro.logic.atoms import Atom, atom
 from repro.logic.instances import Instance
-from repro.logic.terms import FreshSupply
+from repro.logic.terms import Constant, FreshSupply
 from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_rules
 
@@ -129,6 +129,108 @@ class TestPersistentDeterminism:
         reference = semi_naive_closure(path_instance(12), rules, engine="delta")
         config = EngineConfig("persistent", workers=2)
         assert semi_naive_closure(path_instance(12), rules, engine=config) == reference
+
+
+#: A persistent workers=2 closure in a fresh interpreter; prints what the
+#: pool shipped and received.
+_CLOSURE_TRANSPORT = """
+import json
+from repro.corpus.generators import path_instance
+from repro.engine import EngineConfig
+from repro.engine.workers import TRANSPORT_STATS
+from repro.rewriting.datalog import semi_naive_closure
+from repro.rules.parser import parse_rules
+
+semi_naive_closure(
+    path_instance(40),
+    parse_rules("E(x,y), E(y,z) -> E(x,z)"),
+    engine=EngineConfig("persistent", workers=2),
+)
+snap = TRANSPORT_STATS.snapshot()
+print(json.dumps({
+    "totals": [snap["bytes_sent"], snap["bytes_received"], snap["messages"]],
+    "commands": snap["commands"],
+}))
+"""
+
+
+class TestRoutingAcrossProcesses:
+    def test_transport_counters_ignore_the_hash_seed(self):
+        # Shards route by a hash every process agrees on, so the same
+        # closure ships and receives the same bytes and atoms under any
+        # PYTHONHASHSEED.
+        import json
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", _CLOSURE_TRANSPORT],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout.splitlines()[-1]))
+        assert runs[0] == runs[1]
+        assert runs[0]["commands"]["derive"]["atoms_received"] > 0
+
+
+class TestWorkerTasks:
+    """The worker-side fire/probe task functions, run in-process."""
+
+    RULES = tuple(parse_rules("E(x,y) -> F(x,y), F(y,x)"))
+
+    def _replica(self, facts, tasks):
+        from repro.engine.columnar import ColumnarInstance, Vocabulary
+        from repro.engine.wire import WireDecoder, WireEncoder
+
+        encoder = WireEncoder()
+        facts_buf = encoder.encode_atoms(facts)
+        tasks_buf = encoder.encode_probe_tasks(self.RULES, tasks)
+        decoder = WireDecoder()
+        decoder.apply_segment(encoder.segment(0, 0))
+        replica = ColumnarInstance(Vocabulary.of_decoder(decoder))
+        replica.ingest_packed(facts_buf)
+        return replica, tasks_buf
+
+    def _atoms(self, replica, rows):
+        vocabulary = replica.vocabulary
+        return {
+            Atom(
+                vocabulary.predicates[pred_id],
+                tuple(vocabulary.terms[i] for i in row),
+            )
+            for pred_id, row in rows
+        }
+
+    def test_probe_and_fire_instantiate_on_ids_and_count(self):
+        from repro.engine import wire
+        from repro.engine.workers import fire_tasks, probe_tasks
+        from repro.rules.rule import INSTANTIATION_STATS
+
+        a, b = Constant("A"), Constant("B")
+        facts = [atom("E", "A", "B"), atom("F", "A", "B")]
+        replica, tasks_buf = self._replica(facts, [(4, 0, (a, b))])
+        tasks = wire.decode_probe_tasks(tasks_buf, self.RULES)
+        before = INSTANTIATION_STATS.heads
+        ((index, present, missing),) = probe_tasks(
+            self.RULES, replica, tasks
+        )
+        assert index == 4
+        assert self._atoms(replica, present) == {atom("F", "A", "B")}
+        assert self._atoms(replica, missing) == {atom("F", "B", "A")}
+        ((index, rows),) = fire_tasks(
+            self.RULES, replica.vocabulary, [task + ((),) for task in tasks]
+        )
+        assert index == 4
+        assert self._atoms(replica, rows) == {
+            atom("F", "A", "B"), atom("F", "B", "A")
+        }
+        # One head instantiation per task, worker-side as in the parent.
+        assert INSTANTIATION_STATS.heads == before + 2
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +381,7 @@ class TestWorkerPool:
         triggers = list(triggers_of(instance, rules))
         tasks = [
             [
-                (index, 0 if len(t.rule.body) == 2 else 1, t.mapping)
+                (index, 0 if len(t.rule.body) == 2 else 1, t.image())
                 for index, t in enumerate(triggers)
             ],
             [],
@@ -288,7 +390,7 @@ class TestWorkerPool:
             replies = pool.probe_round(rules, instance, tasks)
         assert len(replies) == len(triggers)
         for index, present, missing in replies:
-            head = triggers[index].rule.instantiate_head(triggers[index].mapping)
+            head = triggers[index].rule.head_atoms(triggers[index].image())
             assert set(present) | set(missing) == head
             assert all(a in instance for a in present)
             assert all(a not in instance for a in missing)
@@ -315,10 +417,10 @@ class TestWorkerPool:
             TRANSPORT_STATS.reset()
             (trigger,) = [
                 t for t in triggers_of(instance, rules)
-                if t.rule.instantiate_head(t.mapping) == {atom("E", "a", "c")}
+                if t.rule.head_atoms(t.image()) == {atom("E", "a", "c")}
             ]
             replies = pool.probe_round(
-                rules, instance, [[(0, 0, trigger.mapping)], []]
+                rules, instance, [[(0, 0, trigger.image())], []]
             )
             assert TRANSPORT_STATS.seeds == 0
             ((index, present, missing),) = replies
@@ -334,13 +436,10 @@ class TestWorkerPool:
         instance = Instance([atom("E", "a", "b")])
         (trigger,) = list(triggers_of(instance, rules))
         supply = FreshSupply("_w")
-        existential_map = {
-            v: supply.null() for v in trigger.rule.existential_order()
-        }
+        nulls = tuple(supply.null() for _ in trigger.rule.existential_order())
         with WorkerPool(2) as pool:
             pairs = pool.fire(
-                [trigger.rule],
-                [[(0, 0, trigger.mapping, existential_map)], []],
+                [trigger.rule], [[(0, 0, trigger.image(), nulls)], []]
             )
         ((index, atoms),) = pairs
         expected, _ = trigger.output(FreshSupply("_w"))
@@ -355,12 +454,12 @@ class TestWorkerPool:
 class TestWorkerPoolFailureTeardown:
     RULES = tuple(parse_rules("E(x,y) -> F(x,y)"))
 
-    def _mapping(self):
+    def _image(self):
         from repro.chase.trigger import triggers_of
 
         instance = Instance([atom("E", "a", "b")])
         (trigger,) = list(triggers_of(instance, list(self.RULES)))
-        return trigger.mapping
+        return trigger.image()
 
     def _fire_message(self, pool, tasks):
         # A valid wire-format fire message for a fresh pool: encode the
@@ -375,10 +474,10 @@ class TestWorkerPoolFailureTeardown:
         # stream); workers 0 and 2 reply normally.  The gather must drain
         # *all* outstanding replies before raising, so no pipe is left
         # holding a stale round reply, and the pool must be marked broken.
-        mapping = self._mapping()
+        image = self._image()
         pool = WorkerPool(3)
         pool._start()
-        healthy = self._fire_message(pool, [(0, 0, mapping, {})])
+        healthy = self._fire_message(pool, [(0, 0, image, ())])
         messages = [
             healthy,
             ("fire", None, self.RULES, b"bad"),
@@ -413,12 +512,12 @@ class TestWorkerPoolFailureTeardown:
         # Worker 1's process dies before the round; the send fails, the
         # already-sent worker 0 is still drained, and the failure
         # surfaces as a ChaseError with the pool marked broken.
-        mapping = self._mapping()
+        image = self._image()
         pool = WorkerPool(2)
         pool._start()
         pool._processes[1].terminate()
         pool._processes[1].join(timeout=5.0)
-        healthy = self._fire_message(pool, [(0, 0, mapping, {})])
+        healthy = self._fire_message(pool, [(0, 0, image, ())])
         with pytest.raises(ChaseError, match="died mid-round"):
             pool._broadcast_and_gather([healthy, healthy])
         assert pool.broken

@@ -178,87 +178,125 @@ class TestAtomCodec:
 
 
 class TestTaskCodec:
+    """Tasks ship trigger images; workers decode them to term-id tuples."""
+
     def _trigger(self, rule_text, facts):
         rules = tuple(parse_rules(rule_text))
         instance = Instance(facts)
         (trigger,) = list(triggers_of(instance, list(rules)))
         return rules, trigger
 
-    def test_fire_tasks_round_trip_mapping_and_nulls(self):
+    def _ids(self, encoder, terms):
+        return tuple(encoder.terms.ids[t] for t in terms)
+
+    def test_fire_tasks_round_trip_image_and_nulls(self):
         rules, trigger = self._trigger(
             "E(x,y) -> exists z. F(y,z)", [atom("E", "A", "B")]
         )
-        existential_map = {
-            v: Null(f"_n{i}")
-            for i, v in enumerate(rules[0].existential_order())
-        }
-        tasks = [(0, 0, trigger.mapping, existential_map)]
+        nulls = tuple(
+            Null(f"_n{i}") for i, _ in enumerate(rules[0].existential_order())
+        )
         encoder = WireEncoder()
-        buf = encoder.encode_fire_tasks(rules, tasks)
-        decoded = _synced_decoder(encoder).decode_fire_tasks(buf, rules)
-        assert decoded == tasks
+        buf = encoder.encode_fire_tasks(
+            rules, [(0, 0, trigger.image(), nulls)]
+        )
+        assert wire.decode_fire_tasks(buf, rules) == [
+            (
+                0,
+                0,
+                self._ids(encoder, trigger.image()),
+                self._ids(encoder, nulls),
+            )
+        ]
 
     def test_probe_tasks_round_trip(self):
-        # Two symmetric triggers; take both mappings via enumeration.
+        # Two symmetric triggers; take both images via enumeration.
         rules = tuple(parse_rules("E(x,y), E(y,x) -> F(x,y)"))
         instance = Instance([atom("E", "A", "B"), atom("E", "B", "A")])
-        tasks = [
-            (i, 0, t.mapping)
-            for i, t in enumerate(triggers_of(instance, list(rules)))
-        ]
-        assert len(tasks) == 2
+        triggers = list(triggers_of(instance, list(rules)))
+        assert len(triggers) == 2
+        tasks = [(i, 0, t.image()) for i, t in enumerate(triggers)]
         encoder = WireEncoder()
         buf = encoder.encode_probe_tasks(rules, tasks)
-        decoded = _synced_decoder(encoder).decode_probe_tasks(buf, rules)
-        assert decoded == tasks
+        assert wire.decode_probe_tasks(buf, rules) == [
+            (i, 0, self._ids(encoder, image)) for i, _, image in tasks
+        ]
 
-    def test_identity_mappings_survive(self):
-        # A mapping sending a body variable to itself packs as the
-        # variable's own id and reconstructs to an *absent* binding —
-        # exactly how Substitution normalizes identity pairs.
+    def test_image_bytes_match_the_mapping_layout(self):
+        # A task packs the image along the body-variable order: exactly
+        # the ids the mapping-based layout packed, identity pairs (a
+        # variable mapped to itself) included.
         rules = tuple(parse_rules("E(x,y) -> F(x,y)"))
-        from repro.logic.substitutions import Substitution
-
         x, y = rules[0].body_variable_order()
-        mapping = Substitution({x: x, y: Constant("B")})
-        tasks = [(0, 0, mapping, {})]
+        image = (x, Constant("B"))
         encoder = WireEncoder()
-        buf = encoder.encode_fire_tasks(rules, tasks)
-        decoded = _synced_decoder(encoder).decode_fire_tasks(buf, rules)
-        assert decoded == tasks
-        assert x not in decoded[0][2]
+        buf = encoder.encode_probe_tasks(rules, [(3, 0, image)])
+        assert wire.unpack_ids(buf) == [
+            3, 0, encoder.terms.ids[x], encoder.terms.ids[Constant("B")]
+        ]
+
+    def test_truncated_tasks_raise(self):
+        rules, trigger = self._trigger(
+            "E(x,y) -> exists z. F(y,z)", [atom("E", "A", "B")]
+        )
+        encoder = WireEncoder()
+        buf = encoder.encode_fire_tasks(
+            rules, [(0, 0, trigger.image(), (Null("_n0"),))]
+        )
+        with pytest.raises(ChaseError, match="truncated"):
+            wire.decode_fire_tasks(buf[:-1], rules)
+        with pytest.raises(ChaseError, match="truncated"):
+            wire.decode_probe_tasks(buf[:-2], rules)
 
 
 class TestReplyCodec:
+    """Workers write replies from id rows; the parent reads atoms."""
+
+    def _rows(self, encoder, atoms):
+        return [
+            (
+                encoder.predicates.ids[a.predicate],
+                tuple(encoder.terms.ids[t] for t in a.args),
+            )
+            for a in atoms
+        ]
+
     def test_fire_reply_round_trip(self):
         encoder = WireEncoder()
-        encoder.encode_atoms([atom("F", "A", "B"), atom("F", "B", "C")])
-        decoder = _synced_decoder(encoder)
+        f_ab, f_bc = atom("F", "A", "B"), atom("F", "B", "C")
+        encoder.encode_atoms([f_ab, f_bc])
         pairs = [
-            (0, {atom("F", "A", "B")}),
-            (3, {atom("F", "B", "C"), atom("F", "A", "B")}),
-            (5, set()),
+            (0, self._rows(encoder, [f_ab])),
+            (3, self._rows(encoder, [f_bc, f_ab])),
+            (5, []),
         ]
-        reply = wire.encode_fire_reply(decoder, pairs)
-        assert wire.decode_fire_reply(encoder, reply) == pairs
+        reply = wire.encode_fire_reply(pairs)
+        assert wire.decode_fire_reply(encoder, reply) == [
+            (0, {f_ab}), (3, {f_ab, f_bc}), (5, set())
+        ]
 
     def test_probe_reply_round_trip(self):
         encoder = WireEncoder()
-        encoder.encode_atoms([atom("F", "A", "B"), atom("G", "A")])
-        decoder = _synced_decoder(encoder)
+        f_ab, g_a = atom("F", "A", "B"), atom("G", "A")
+        encoder.encode_atoms([f_ab, g_a])
         results = [
-            (2, (atom("F", "A", "B"),), (atom("G", "A"),)),
-            (4, (), (atom("F", "A", "B"), atom("G", "A"))),
+            (2, self._rows(encoder, [f_ab]), self._rows(encoder, [g_a])),
+            (4, [], self._rows(encoder, [f_ab, g_a])),
         ]
-        reply = wire.encode_probe_reply(decoder, results)
-        assert wire.decode_probe_reply(encoder, reply) == results
+        reply = wire.encode_probe_reply(results)
+        assert wire.decode_probe_reply(encoder, reply) == [
+            (2, (f_ab,), (g_a,)),
+            (4, (), (f_ab, g_a)),
+        ]
 
     def test_derive_reply_round_trip(self):
         encoder = WireEncoder()
-        atoms = {atom("F", "A", "B"), atom("F", "B", "C")}
+        atoms = {atom("F", "A", "B"), atom("F", "B", "C"), atom("G", "A")}
         encoder.encode_atoms(sorted(atoms))
-        decoder = _synced_decoder(encoder)
-        reply = wire.encode_derive_reply(decoder, atoms)
+        derived: dict = {}
+        for pred_id, row in self._rows(encoder, sorted(atoms)):
+            derived.setdefault(pred_id, set()).add(row)
+        reply = wire.encode_derive_reply(derived)
         assert wire.decode_derive_reply(encoder, reply) == atoms
 
     def test_enumerate_reply_round_trips_images(self):
@@ -272,20 +310,34 @@ class TestReplyCodec:
         assert per_rule[0]  # non-trivial
         encoder = WireEncoder()
         encoder.encode_atoms(instance.sorted_atoms())
-        decoder = _synced_decoder(encoder)
-        reply = wire.encode_enumerate_reply(decoder, rules, per_rule)
+        ids = encoder.terms.ids
+        reply = wire.encode_enumerate_reply(
+            [[tuple(ids[t] for t in image) for image in per_rule[0]]]
+        )
         decoded = wire.decode_enumerate_reply(encoder, rules, reply)
         assert decoded == per_rule
 
-    def test_literal_escape_for_unknown_symbols(self):
-        # A reply can mention a symbol the parent never shipped: it rides
-        # as a message-local literal instead of a table ref.
+    def test_replies_are_table_refs_only(self):
+        # Id rows are table ids, so a reply never needs the format's
+        # message-local literals: refs are 2 * id and the lists are empty.
         encoder = WireEncoder()
-        decoder = _synced_decoder(encoder)  # both tables empty
+        encoder.encode_atoms([atom("F", "A", "B")])
+        literal_terms, literal_predicates, buf = wire.encode_fire_reply(
+            [(7, [(0, (0, 1))])]
+        )
+        assert literal_terms == () and literal_predicates == ()
+        assert wire.unpack_ids(buf) == [7, 1, 0, 0, 2]
+
+    def test_reader_decodes_literal_refs(self):
+        # The parent-side reader still understands the literal escape
+        # (2 * literal_index + 1) for symbols outside the shared table.
+        encoder = WireEncoder()
         stranger = Atom(Predicate("S", 2), (Constant("Q"), Null("_n9")))
-        reply = wire.encode_fire_reply(decoder, [(0, {stranger})])
-        literal_terms, literal_predicates, _ = reply
-        assert literal_terms and literal_predicates
+        reply = (
+            ((Constant._rank, "Q"), (Null._rank, "_n9")),
+            (("S", 2),),
+            wire.pack_ids([0, 1, 1, 1, 3]),
+        )
         assert wire.decode_fire_reply(encoder, reply) == [(0, {stranger})]
 
 
@@ -322,9 +374,9 @@ class TestPackedShardViews:
 RULES = tuple(parse_rules("E(x,y) -> F(x,y)"))
 
 
-def _mapping(facts):
+def _image(facts):
     (trigger,) = list(triggers_of(Instance(facts), list(RULES)))
-    return trigger.mapping
+    return trigger.image()
 
 
 def _run_sequence(workers: int) -> dict:
@@ -333,7 +385,7 @@ def _run_sequence(workers: int) -> dict:
     traffic.  Returns the TRANSPORT_STATS snapshot."""
     facts = [atom("E", "A", "B")]
     instance = Instance(facts)
-    mapping = _mapping(facts)
+    image = _image(facts)
     TRANSPORT_STATS.reset()
     with WorkerPool(workers) as pool:
         pool.run_round("enumerate", RULES, instance, [facts])
@@ -342,8 +394,8 @@ def _run_sequence(workers: int) -> dict:
         pool.run_round(
             "enumerate", RULES, instance, [instance.delta_since(0)[-2:]]
         )
-        pool.fire(RULES, [[(0, 0, mapping, {})]])
-        pool.probe_round(RULES, instance, [[(0, 0, mapping)]])
+        pool.fire(RULES, [[(0, 0, image, ())]])
+        pool.probe_round(RULES, instance, [[(0, 0, image)]])
     return TRANSPORT_STATS.snapshot()
 
 
