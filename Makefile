@@ -27,14 +27,12 @@ checks:
 # throughput), EXP-12 (incremental vs naive trigger enumeration), EXP-13
 # (batched delta closure vs naive, gated on exact matcher work), EXP-14
 # (persistent delta-fed workers vs the inline engine), EXP-15 (delta-driven restricted
-# satisfaction + sharded restricted firing vs the interleaved reference)
-# EXP-16 (worker-resident satisfaction for mixed restricted rounds +
-# adaptive shard routing), EXP-17 (goal-directed answer() serving vs
-# full saturation) and EXP-18 (shared-memory transport vs the pipe-only
-# persistent engine), with GC disabled during
-# timing so numbers are comparable across runs.  Tables land in
-# benchmarks/results/.  The budget check then gates the freshly written
-# BENCH_exp14.json / BENCH_exp18.json byte channels against
+# satisfaction + sharded restricted firing vs the interleaved reference),
+# EXP-16 (worker-resident satisfaction for mixed restricted rounds) and
+# EXP-17 (goal-directed answer() serving vs full saturation), with GC
+# disabled during timing so numbers are comparable across runs.  Tables
+# land in benchmarks/results/.  The budget check then gates the freshly
+# written BENCH_exp14.json pipe bytes against
 # benchmarks/transport_budget.json — transport bytes are deterministic,
 # so exceeding a budget is a real protocol regression.
 # The telemetry check then asserts every BENCH_*.json embeds a
@@ -44,12 +42,11 @@ perf-smoke:
 	PYTHONPATH=src $(PY) -m pytest \
 	    benchmarks/bench_exp8_performance.py \
 	    benchmarks/bench_exp12_incremental.py \
-	    benchmarks/bench_exp13_parallel.py \
+	    benchmarks/bench_exp13_closure.py \
 	    benchmarks/bench_exp14_persistent.py \
 	    benchmarks/bench_exp15_restricted.py \
 	    benchmarks/bench_exp16_mixed.py \
 	    benchmarks/bench_exp17_serving.py \
-	    benchmarks/bench_exp18_columnar.py \
 	    -q --benchmark-disable-gc
 	$(PY) tools/check_transport_budget.py
 	$(PY) tools/check_bench_telemetry.py

@@ -81,7 +81,7 @@ def test_exp13_batched_closure(benchmark):
         iterations=1,
     )
     emit(
-        "exp13_parallel",
+        "exp13_closure",
         format_table(
             ["engine", "atoms", "candidates", "median s", "vs naive"],
             rows,

@@ -7,9 +7,7 @@ The split-round path changes that: the round's existential-free triggers
 are instantiated and satisfaction-probed up front (on the persistent
 backend: worker-side, against long-lived replicas, via the ``probe``
 protocol command), and the round then records in one canonical-order
-lazy pass that interleaves only the small existential remainder.  Shard
-→ worker placement is round-robin by default; ``adaptive_routing``
-switches to largest-first bin packing on shard byte weights.
+lazy pass that interleaves only the small existential remainder.
 
 The workload makes every round genuinely mixed: a successor rule keeps
 extending a path with fresh nulls (one unsatisfied existential trigger
@@ -25,10 +23,10 @@ Acceptance on this 1-CPU GIL harness:
 * the inline split path does not regress vs the seed interleaved loop
   (amortized recording + single head instantiation are the single-core
   win), and
-* the persistent backends (hash-uniform and adaptive routing) agree
-  exactly while probing worker-side (``TRANSPORT_STATS.probes`` > 0);
-  their wall-clock win needs multicore — transport payload and
-  equivalence are the hardware-independent claims here.
+* the persistent backend agrees exactly while probing worker-side
+  (``TRANSPORT_STATS.probes`` > 0); its wall-clock win needs multicore —
+  transport payload and equivalence are the hardware-independent claims
+  here.
 """
 
 import statistics
@@ -55,12 +53,7 @@ MIXED_RULES = (
 CONFIGS = [
     ("interleaved (seed path)", "delta", False),
     ("split inline (delta)", "delta", True),
-    ("persistent split (w=2, hash)", EngineConfig("persistent", workers=2), True),
-    (
-        "persistent split (w=2, adaptive)",
-        EngineConfig("persistent", workers=2, shards=8, adaptive_routing=True),
-        True,
-    ),
+    ("persistent split (w=2)", EngineConfig("persistent", workers=2), True),
 ]
 
 
@@ -159,7 +152,6 @@ def test_exp16_mixed_rounds():
     assert times["split inline (delta)"] <= times[
         "interleaved (seed path)"
     ] * 1.5, times
-    # The worker-resident gate actually ran on the persistent backends.
-    assert probes["persistent split (w=2, hash)"] > 0
-    assert probes["persistent split (w=2, adaptive)"] > 0
+    # The worker-resident gate actually ran on the persistent backend.
+    assert probes["persistent split (w=2)"] > 0
     assert probes["split inline (delta)"] == 0

@@ -1,4 +1,7 @@
-"""EXP-9 — ablations of the library's own design choices (DESIGN.md §4).
+"""EXP-9 — ablations of the library's own design choices.
+
+The engine's design is described in ``src/repro/engine/README.md``; the
+tables this file writes land in ``benchmarks/results/``.
 
 Not paper claims; these quantify the engineering decisions:
 

@@ -1,8 +1,10 @@
 """Shared helpers for the experiment benchmarks.
 
-Each ``bench_expN_*.py`` regenerates one paper artifact (see DESIGN.md §5)
-and both prints its table and records it under ``benchmarks/results/`` so
-EXPERIMENTS.md can reference the measured output.  Experiments with
+Each ``bench_expN_*.py`` regenerates one artifact — a paper claim
+(EXP-1..11) or an engine measurement (EXP-12..17, whose design is
+described in ``src/repro/engine/README.md``) — and both prints its table
+and records it under ``benchmarks/results/``, where the measured output
+is kept under version control.  Experiments with
 machine-readable consumers (the transport-budget guard in
 ``tools/check_transport_budget.py``, the ROADMAP manifest migration)
 additionally write a ``BENCH_<name>.json`` next to the table via
@@ -63,7 +65,11 @@ def emit_json(name: str, payload: dict) -> None:
 
 
 def engine_provenance(engine) -> dict:
-    """The engine/workers/shards provenance block of one configuration."""
+    """The engine/workers/shards provenance block of one configuration.
+
+    ``shards`` is the worker count: the persistent engine splits each
+    round's delta into one shard per worker.
+    """
     from repro.engine import resolve_engine
 
     config = resolve_engine(engine) if isinstance(engine, str) else engine
@@ -71,8 +77,6 @@ def engine_provenance(engine) -> dict:
         "engine": config.name,
         "mode": config.mode,
         "workers": config.workers,
-        "shards": config.shard_count,
+        "shards": config.workers,
         "persistent_workers": config.persistent_workers,
-        "adaptive_routing": config.adaptive_routing,
-        "shared_memory": config.shared_memory,
     }

@@ -1,8 +1,10 @@
 """Resource-lifecycle pass: every acquire has an exception-safe release.
 
-PR 9's leak oracle (``repro.engine.shm.active_segments``) catches leaked
-shared-memory segments at test time; this pass catches the *shape* of a
-leak at lint time.  Tracked acquisitions — ``SharedMemory(...)``,
+A leaked worker pool, pipe or shared-memory segment outlives the run
+that made it; this pass catches the *shape* of such a leak at lint time.
+The engine itself acquires only worker pools and pipes; the segment
+names stay tracked so a reintroduced segment transport is checked from
+its first line.  Tracked acquisitions — ``SharedMemory(...)``,
 ``SegmentPool(...)``, ``WorkerPool(...)``, ``Pipe()`` — must reach a
 release (``close``/``unlink``/``shutdown``/``terminate``/``join``/…)
 on **all** paths, including exception edges.  Three rules:

@@ -31,13 +31,8 @@ explicit :class:`EngineConfig`:
                         the replicas' rows, sharded firing and
                         worker-resident satisfaction probes across the
                         pool.  ``EngineConfig("persistent", workers=8)``
-                        tunes the pool (``workers=1`` runs the sharded
-                        merge inline, with no processes);
-                        ``adaptive_routing=True`` swaps the hash-uniform
-                        shard placement for size-balanced bin packing;
-                        ``shared_memory=True`` moves payloads above
-                        ``shm_threshold`` bytes off the pipes into
-                        :class:`SegmentPool` shared-memory segments.
+                        sizes the pool (``workers=1`` runs the scheduler
+                        inline, with no processes).
 ======================  =====================================================
 
 Unknown names raise :class:`~repro.errors.ChaseError` listing the valid
@@ -50,8 +45,8 @@ The persistent engine routes each round's delta through a
 hash that every process agrees on into per-shard positional-indexed
 views, one enumeration task runs per
 non-empty shard against the full instance (or a worker's replica of it),
-and the shard count defaults to the worker count.  Shard assignment is
-invisible in the results.
+and there is one shard per worker: shard *i* goes to worker *i*.  Shard
+assignment is invisible in the results.
 
 Determinism guarantees
 ----------------------
@@ -59,17 +54,17 @@ All engines fire the same triggers in the same canonical order — per rule
 in rule-set order, matches sorted by body-variable image — and therefore
 produce bit-identical :class:`~repro.chase.result.ChaseResult` instances:
 same atoms, levels, timestamps, null names and provenance records.  For
-the persistent engine this holds for *every* worker/shard count because
+the persistent engine this holds for *every* worker count because
 the merge is a keyed union on canonical images followed by a sort; the
 equivalence suites (``tests/test_runner_equivalence.py``,
-``tests/test_engine_parallel.py``) pin this across the corpus families.
+``tests/test_engine_sharding.py``) pin this across the corpus families.
 
 Performance model
 -----------------
 The batched firing path (:mod:`repro.engine.batch`) amortizes provenance
 recording over a whole round, and the closure's derivation mode skips
 trigger identity entirely — the ``delta`` closure runs it inline (see
-``benchmarks/bench_exp13_parallel.py``).  The persistent pool trades
+``benchmarks/bench_exp13_closure.py``).  The persistent pool trades
 per-round delta shipping for GIL-free matching and firing on multicore
 machines (``benchmarks/bench_exp14_persistent.py``).
 """
@@ -95,7 +90,6 @@ from repro.engine.core import (
 from repro.engine.runner import ChaseRunner, RoundPlan, VariantPolicy
 from repro.engine.scheduler import RoundScheduler
 from repro.engine.shards import ShardedIndex
-from repro.engine.shm import SegmentPool, SegmentReader, SegmentRef, shm_available
 from repro.engine.wire import WireDecoder, WireEncoder
 from repro.engine.workers import TRANSPORT_STATS, WorkerPool
 
@@ -107,9 +101,6 @@ __all__ = [
     "RoundOutcome",
     "RoundPlan",
     "RoundScheduler",
-    "SegmentPool",
-    "SegmentReader",
-    "SegmentRef",
     "VariantPolicy",
     "ShardedIndex",
     "TRANSPORT_STATS",
@@ -128,5 +119,4 @@ __all__ = [
     "register_engine",
     "registered_engines",
     "resolve_engine",
-    "shm_available",
 ]

@@ -175,8 +175,8 @@ class ColumnarInstance:
     def ingest_packed(self, data: bytes) -> int:
         """Fold one wire-format atom buffer in; return the new-row count.
 
-        Duplicate rows are dropped (sync streams are deduplicated
-        already; seed-after-resize replays are not).
+        Duplicate rows are dropped, so folding a buffer twice is a
+        no-op.
         """
         if not data:
             return 0

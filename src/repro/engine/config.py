@@ -24,9 +24,9 @@ Built-in engines
     each worker holds a long-lived id-native replica of the instance,
     seeded once at pool start and synced with only the per-round delta,
     and enumeration, firing and satisfaction probes are sharded across
-    the pool.  At ``workers=1`` the sharded merge runs inline, with no
-    processes.  Results are bit-identical to ``delta`` for every
-    worker/shard count.
+    the pool, one hash shard per worker.  At ``workers=1`` the scheduler
+    runs its single shard inline, with no processes.  Results are bit-identical to ``delta`` for every
+    worker count.
 """
 
 from __future__ import annotations
@@ -61,39 +61,11 @@ class EngineConfig:
         name must set it explicitly.  Validated at construction, so a
         typo raises instead of silently running the wrong engine.
     workers:
-        Worker-pool size of the ``persistent`` engine.  ``1`` runs the
-        sharded enumeration and merge inline, with no processes (useful
-        for debugging and for the determinism tests); ignored by the
-        inline engines.
-    shards:
-        Number of hash shards the per-round delta is split into.  ``0``
-        (the default) means one shard per worker.  The shard count never
-        affects results — only how enumeration work is distributed.
-    adaptive_routing:
-        When True, the persistent pool's shard→worker placement is
-        size-balanced instead of hash-uniform: each round's non-empty
-        shards are binned onto workers largest-first by their estimated
-        byte weight (:func:`repro.engine.shards.atom_weight`), so one hot
-        predicate hashing into one shard no longer serializes the pool.
-        Default False — hash-uniform round-robin placement is kept as the
-        reference.  Requires the ``persistent`` mode; placement never
-        affects results, only load balance.
-    shared_memory:
-        When True, the persistent pool routes payloads of at least
-        ``shm_threshold`` bytes (seed rows, sync deltas, pivot/task
-        buffers) through :class:`~repro.engine.shm.SegmentPool`
-        shared-memory segments; the pipes carry only small control
-        envelopes holding ``(segment, offset, length)`` refs.  Opt-in
-        (default False) and requires the ``persistent`` mode — the other
-        engines have no long-lived processes to share segments with.
-        Raises at pool start when the platform has no working
-        ``multiprocessing.shared_memory`` (see
-        :func:`repro.engine.shm.shm_available`).
-    shm_threshold:
-        Minimum payload size, in bytes, that rides shared memory when
-        ``shared_memory`` is on.  Below it the raw bytes stay in the
-        pipe envelope (a pickled segment ref costs ~90 bytes, so tiny
-        payloads would lose).
+        Worker-pool size of the ``persistent`` engine, which is also the
+        number of hash shards each round's delta is split into (shard
+        *i* goes to worker *i*).  ``1`` runs the enumeration and merge
+        inline, with no processes (useful for debugging and for the
+        determinism tests); ignored by the inline engines.
     description:
         One-line human description, shown by ``repro chase
         --list-engines`` and usable by third-party presets.  Presentation
@@ -103,10 +75,6 @@ class EngineConfig:
     name: str
     mode: str = ""
     workers: int = 1
-    shards: int = 0
-    adaptive_routing: bool = False
-    shared_memory: bool = False
-    shm_threshold: int = 256
     description: str = ""
 
     def __post_init__(self):
@@ -118,31 +86,10 @@ class EngineConfig:
                 f"engine {self.name!r} has unknown mode {self.mode!r}; "
                 f"valid modes: {valid}"
             )
-        if self.adaptive_routing and not self.is_persistent:
-            raise ChaseError(
-                f"engine {self.name!r}: adaptive_routing requires the "
-                f"persistent mode — only the worker pool has a "
-                f"shard→worker placement to balance"
-            )
-        if self.shared_memory and not self.is_persistent:
-            raise ChaseError(
-                f"engine {self.name!r}: shared_memory requires the "
-                f"persistent mode — only the long-lived pool has "
-                f"processes to share segments with"
-            )
-        if self.shm_threshold < 1:
-            raise ChaseError(
-                f"engine {self.name!r} needs a positive shm_threshold, "
-                f"got {self.shm_threshold}"
-            )
         if self.workers < 1:
             raise ChaseError(
                 f"engine {self.name!r} needs at least 1 worker, "
                 f"got {self.workers}"
-            )
-        if self.shards < 0:
-            raise ChaseError(
-                f"engine {self.name!r} cannot use a negative shard count"
             )
 
     @property
@@ -160,11 +107,6 @@ class EngineConfig:
     def persistent_workers(self) -> bool:
         """Read-only alias of :attr:`is_persistent` (provenance readers)."""
         return self.is_persistent
-
-    @property
-    def shard_count(self) -> int:
-        """The effective number of delta shards (defaults to ``workers``)."""
-        return self.shards or self.workers
 
     def with_workers(self, workers: int) -> "EngineConfig":
         """Return a copy with a different worker-pool size."""
@@ -235,7 +177,7 @@ def resolve_engine(engine: str | EngineConfig) -> EngineConfig:
     Raises :class:`~repro.errors.ChaseError` with the list of valid names
     when ``engine`` is an unknown string.  Explicit :class:`EngineConfig`
     instances pass through untouched (mode and pool fields were validated
-    on construction), so callers can tune workers/shards per run.
+    on construction), so callers can tune the pool size per run.
     """
     if isinstance(engine, EngineConfig):
         return engine

@@ -21,7 +21,8 @@ The chase variants (:mod:`repro.chase.oblivious`,
 :mod:`repro.chase.semi_oblivious`, :mod:`repro.chase.restricted`) and the
 Datalog closure (:mod:`repro.rewriting.datalog`) are thin policy
 declarations over this runner; engine features — new backends, sharded
-firing, adaptive routing — land here once instead of once per variant.
+firing, worker-resident probes — land here once instead of once per
+variant.
 
 Delta-driven satisfaction and sharded restricted firing
 -------------------------------------------------------
@@ -329,7 +330,7 @@ class ChaseRunner:
                 engine=self.config.name,
                 mode=mode,
                 workers=self.config.workers,
-                shards=self.config.shard_count,
+                shards=self.config.workers,
                 max_steps=self.max_steps,
                 max_atoms=self.max_atoms,
             )

@@ -7,14 +7,15 @@ enumeration out over a :class:`~repro.engine.workers.WorkerPool`, and
 merges the candidates back into the canonical order of the sequential
 delta engine — per rule in rule-set order, matches sorted by
 body-variable image — so the results are bit-identical no matter how many
-workers or shards ran.
+workers ran.  There is one shard per worker, and shard *i* goes to
+worker *i*.
 
 Workers and determinism
 -----------------------
 Shard assignment is hash-based and workers finish in arbitrary order, but
 neither can influence the output: every shard returns its matches keyed
 by canonical image, equal keys imply equal (restricted) matches, and the
-merge is a keyed union followed by a sort.  The worker/shard count is
+merge is a keyed union followed by a sort.  The worker count is
 therefore purely a throughput knob.  With ``workers == 1`` (or a round
 with a single non-empty shard) the shards run inline through the same
 merge, with no processes.
@@ -37,14 +38,6 @@ instantiates and pre-resolves each ground head against the worker
 replicas, and the parent finalizes the claims lazily while recording
 (:meth:`RoundScheduler.fire_split_round`).  This module never pickles:
 every envelope is built and serialized by :mod:`repro.engine.workers`.
-
-Shard → worker placement is hash-uniform round-robin by default;
-``EngineConfig.adaptive_routing`` switches to size-balanced placement
-(largest shard first onto the least-loaded worker, by wire byte weight —
-:func:`~repro.engine.shards.atom_weight` is exactly the packed-encoding
-cost, so routing balances the bytes the pool actually ships), which
-keeps a skewed delta — one hot predicate hashing into one shard — from
-serializing the pool.  Placement never affects results.
 """
 
 from __future__ import annotations
@@ -100,7 +93,7 @@ class RoundScheduler:
 
     def __init__(self, config: EngineConfig):
         self.config = config
-        self._index = ShardedIndex(config.shard_count)
+        self._index = ShardedIndex(config.workers)
         self._worker_pool: WorkerPool | None = None
 
     # ------------------------------------------------------------------
@@ -109,11 +102,7 @@ class RoundScheduler:
 
     def _pool(self) -> WorkerPool:
         if self._worker_pool is None:
-            self._worker_pool = WorkerPool(
-                self.config.workers,
-                shared_memory=self.config.shared_memory,
-                shm_threshold=self.config.shm_threshold,
-            )
+            self._worker_pool = WorkerPool(self.config.workers)
         return self._worker_pool
 
     def close(self) -> None:
@@ -154,8 +143,8 @@ class RoundScheduler:
         views = self._index.ingest(delta)
         recorder = active_round()
         if recorder is not None:
-            # The adaptive router's cost model, reported per shard: the
-            # packed-encoding byte weight each shard routed this round.
+            # The packed-encoding byte weight each shard routed this
+            # round, so a skewed delta shows in the trace.
             recorder.shard_weights = tuple(
                 sum(atom_weight(atom) for atom in view) if len(view) else 0
                 for view in views
@@ -165,43 +154,8 @@ class RoundScheduler:
             return []
         if not self.fans_out or len(tasks) == 1:
             return [_run_shard(mode, rules, instance, v) for v in tasks]
-        pool = self._pool()
-        return pool.run_round(
-            mode, rules, instance, self._route_pivots(views, pool.size)
-        )
-
-    def _route_pivots(
-        self, views: Sequence[Instance], pool_size: int
-    ) -> list[list[Atom]]:
-        """Shard → worker placement for the persistent pool.
-
-        The reference placement is hash-uniform: round-robin on the shard
-        index.  With ``adaptive_routing`` the round's non-empty shard
-        views are binned onto workers largest-first by estimated byte
-        weight (greedy bin packing: heaviest view to the least-loaded
-        worker), so one hot predicate hashing into one shard no longer
-        pins the whole round's work on one worker.  Placement is a pure
-        function of the views, and — like shard routing itself — can
-        never affect results, only load balance: the merge is keyed by
-        canonical image.
-        """
-        pivots: list[list[Atom]] = [[] for _ in range(pool_size)]
-        if not self.config.adaptive_routing:
-            for shard, view in enumerate(views):
-                if len(view):
-                    pivots[shard % pool_size].extend(view.sorted_atoms())
-            return pivots
-        weights = {
-            shard: sum(atom_weight(a) for a in view)
-            for shard, view in enumerate(views)
-            if len(view)
-        }
-        loads = [0] * pool_size
-        for shard in sorted(weights, key=lambda s: (-weights[s], s)):
-            worker = min(range(pool_size), key=lambda w: (loads[w], w))
-            loads[worker] += weights[shard]
-            pivots[worker].extend(views[shard].sorted_atoms())
-        return pivots
+        pivots = [view.sorted_atoms() for view in views]
+        return self._pool().run_round(mode, rules, instance, pivots)
 
     def enumerate_images(
         self,

@@ -105,7 +105,6 @@ import time
 import traceback
 from typing import Iterable, Sequence
 
-from repro.engine import shm as shm_transport
 from repro.engine import wire
 from repro.obs.trace import active_round
 from repro.engine.columnar import (
@@ -131,24 +130,15 @@ class TransportStats:
     tests and benchmarks can pin what the persistent protocol ships.
 
     Beyond the totals, :attr:`commands` keys per-command counters —
-    ``{"messages", "bytes_sent", "bytes_received", "shm_bytes",
-    "atoms_sent", "atoms_received"}`` for each of ``seed``/``sync``/
-    ``enumerate``/``derive``/``probe``/``fire``/``stop`` — so tests and
-    benchmarks can pin exactly where transport goes.  Sync deltas riding
-    an enumerate/derive/probe message are counted under ``sync`` (atoms)
+    ``{"messages", "bytes_sent", "bytes_received", "atoms_sent",
+    "atoms_received"}`` for each of ``seed``/``sync``/``enumerate``/
+    ``derive``/``probe``/``fire``/``stop`` — so tests and benchmarks can
+    pin exactly where transport goes.  Sync deltas riding an
+    enumerate/derive/probe message are counted under ``sync`` (atoms)
     while the envelope bytes land on the carrying command.
-
-    The byte accounting is split by *channel*: ``bytes_sent``/
-    ``bytes_received`` are **pipe** bytes (the pickled envelopes — with
-    shared memory on, that is refs and small payloads only), and
-    ``shm_bytes`` counts the payload bytes that traveled through
-    :class:`~repro.engine.shm.SegmentPool` segments instead.  A
-    payload's bytes land on exactly one channel, so the two gates in
-    ``tools/check_transport_budget.py`` partition the transport.  Shm
-    bytes for a shared sync buffer are attributed to ``sync`` (the
-    buffer leaves the carrying envelope entirely) and counted once per
-    publish, not per worker — segments are read in place, fan-out is
-    free.
+    ``bytes_sent``/``bytes_received`` are the pickled envelopes' pipe
+    bytes, payloads included: the pipes are the only channel, and
+    ``tools/check_transport_budget.py`` gates them.
 
     :attr:`worker_seconds` aggregates the worker-side
     ``(decode_s, execute_s, encode_s)`` wall-clock triples stamped into
@@ -161,9 +151,6 @@ class TransportStats:
     __slots__ = (
         "bytes_sent",
         "bytes_received",
-        "shm_bytes",
-        "shm_publishes",
-        "shm_segments",
         "messages",
         "seeds",
         "probes",
@@ -177,9 +164,6 @@ class TransportStats:
     def reset(self) -> None:
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.shm_bytes = 0
-        self.shm_publishes = 0
-        self.shm_segments = 0
         self.messages = 0
         self.seeds = 0
         self.probes = 0
@@ -194,7 +178,6 @@ class TransportStats:
                 "messages": 0,
                 "bytes_sent": 0,
                 "bytes_received": 0,
-                "shm_bytes": 0,
                 "atoms_sent": 0,
                 "atoms_received": 0,
             }
@@ -210,12 +193,6 @@ class TransportStats:
     def record_receive(self, name: str, nbytes: int) -> None:
         self.bytes_received += nbytes
         self.command(name)["bytes_received"] += nbytes
-
-    def record_shm(self, name: str, nbytes: int) -> None:
-        """Account one payload routed through a shared-memory segment."""
-        self.shm_bytes += nbytes
-        self.shm_publishes += 1
-        self.command(name)["shm_bytes"] += nbytes
 
     def count_atoms_sent(self, name: str, count: int) -> None:
         if count:
@@ -339,15 +316,12 @@ def _worker_main(conn) -> None:
     table replica: packed seed/sync buffers fold straight into its id
     rows (``decode_atoms`` stays off the worker entirely), and every
     command — derive, enumerate, probe, fire — runs on id tuples and
-    packs its reply from them.  Payload fields may arrive as
-    :class:`~repro.engine.shm.SegmentRef`\\ s instead of bytes; they are
-    resolved against a per-worker :class:`~repro.engine.shm.SegmentReader`
-    (attach once per segment, memcpy per read) before decoding.
+    packs its reply from them.
 
     Every reply envelope carries the worker's
     ``(decode_s, execute_s, encode_s)`` wall-clock split
     (:func:`repro.engine.wire.pack_reply`): *decode* covers unpickling
-    the envelope, resolving shm refs, replaying the table segment and
+    the envelope, replaying the table segment and
     unpacking the id buffers; *execute* the replica update and the
     actual shard work; *encode* packing the reply buffer.  The blocking
     ``recv`` (waiting for the parent) and the envelope's own final
@@ -359,8 +333,6 @@ def _worker_main(conn) -> None:
     decoder = wire.WireDecoder()
     vocabulary = Vocabulary.of_decoder(decoder)
     replica = ColumnarInstance(vocabulary)
-    reader = shm_transport.SegmentReader()
-    resolve = shm_transport.resolve
     while True:
         try:
             blob = conn.recv_bytes()
@@ -384,7 +356,6 @@ def _worker_main(conn) -> None:
             if command == "seed":
                 _, segment, rules, atoms_buf = message
                 decoder.apply_segment(segment)
-                atoms_buf = resolve(reader, atoms_buf)
                 decoded = perf()
                 replica = ColumnarInstance(vocabulary)
                 replica.ingest_packed(atoms_buf)
@@ -393,15 +364,12 @@ def _worker_main(conn) -> None:
             elif command == "sync":
                 _, segment, sync_buf = message
                 decoder.apply_segment(segment)
-                sync_buf = resolve(reader, sync_buf)
                 decoded = perf()
                 value = replica.ingest_packed(sync_buf)
                 executed = perf()
             elif command in ("enumerate", "derive"):
                 _, segment, sync_buf, pivot_buf = message
                 decoder.apply_segment(segment)
-                sync_buf = resolve(reader, sync_buf)
-                pivot_buf = resolve(reader, pivot_buf)
                 decoded = perf()
                 replica.ingest_packed(sync_buf)
                 delta = ColumnarInstance(vocabulary)
@@ -417,8 +385,6 @@ def _worker_main(conn) -> None:
             elif command == "probe":
                 _, segment, sync_buf, probe_rules, tasks_buf = message
                 decoder.apply_segment(segment)
-                sync_buf = resolve(reader, sync_buf)
-                tasks_buf = resolve(reader, tasks_buf)
                 tasks = wire.decode_probe_tasks(tasks_buf, probe_rules)
                 decoded = perf()
                 replica.ingest_packed(sync_buf)
@@ -428,7 +394,6 @@ def _worker_main(conn) -> None:
             elif command == "fire":
                 _, segment, fire_rules, tasks_buf = message
                 decoder.apply_segment(segment)
-                tasks_buf = resolve(reader, tasks_buf)
                 tasks = wire.decode_fire_tasks(tasks_buf, fire_rules)
                 decoded = perf()
                 pairs = fire_tasks(fire_rules, vocabulary, tasks)
@@ -448,7 +413,6 @@ def _worker_main(conn) -> None:
         except Exception:
             reply = wire.pack_reply("error", traceback.format_exc())
         conn.send_bytes(pickle.dumps(reply, _PROTOCOL))
-    reader.close()
     conn.close()
 
 
@@ -473,25 +437,12 @@ class WorkerPool:
     simply stays behind until their next message catches them up).
     """
 
-    def __init__(
-        self,
-        size: int,
-        *,
-        shared_memory: bool = False,
-        shm_threshold: int = shm_transport.DEFAULT_THRESHOLD,
-    ):
+    def __init__(self, size: int):
         if size < 1:
             raise ChaseError(
                 f"a worker pool needs at least 1 worker, got {size}"
             )
-        if shared_memory and not shm_transport.shm_available():
-            raise ChaseError(
-                "shared_memory requested but multiprocessing.shared_memory "
-                "is unavailable on this platform"
-            )
         self.size = size
-        self.shared_memory = shared_memory
-        self.shm_threshold = shm_threshold
         self._connections: list = []
         self._processes: list = []
         self._started = False
@@ -500,7 +451,6 @@ class WorkerPool:
         self._replica_revision = 0
         self._encoder = WireEncoder()
         self._marks: list[tuple[int, int]] = [(0, 0)] * size
-        self._segment_pool: shm_transport.SegmentPool | None = None
 
     @property
     def broken(self) -> bool:
@@ -519,8 +469,6 @@ class WorkerPool:
             )
         if self._started:
             return
-        if self.shared_memory and self._segment_pool is None:
-            self._segment_pool = shm_transport.SegmentPool(self.shm_threshold)
         self._spawn(self.size)
         self._started = True
 
@@ -556,9 +504,6 @@ class WorkerPool:
         even unblock them).
         """
         if not self._started:
-            if self._segment_pool is not None:  # pragma: no cover - defensive
-                self._segment_pool.close()
-                self._segment_pool = None
             return
         if self._broken:
             for conn in self._connections:
@@ -605,70 +550,6 @@ class WorkerPool:
         # vocabulary so a reused pool re-ships symbols from scratch.
         self._encoder = WireEncoder()
         self._marks = [(0, 0)] * self.size
-        if self._segment_pool is not None:
-            self._segment_pool.close()
-            self._segment_pool = None
-
-    def resize(self, size: int) -> None:
-        """Change the pool size mid-run, keeping symbol tables warm.
-
-        The run's :class:`WireEncoder` and every *surviving* worker's
-        table high-water mark are preserved — only the rows need
-        re-shipping, not the vocabulary.  The next round therefore
-        reseeds all workers (``_rules`` is cleared to force it): new
-        workers get a segment covering the whole table, survivors get an
-        empty-or-tiny segment plus the same shared row buffer, from
-        which every worker rebuilds its replica.
-
-        Shrinking stops the excess workers with the normal handshake —
-        the pool is in lockstep between rounds, so their pipes are
-        clean.  Raises on a broken pool (its pipes can't be trusted for
-        the stop handshake; close it instead).
-        """
-        if size < 1:
-            raise ChaseError(
-                f"a worker pool needs at least 1 worker, got {size}"
-            )
-        if self._broken:
-            raise ChaseError(
-                "cannot resize a broken worker pool; close it and "
-                "create a new one"
-            )
-        if not self._started:
-            self.size = size
-            self._marks = [(0, 0)] * size
-            return
-        if size < self.size:
-            stop_blob = pickle.dumps(("stop",), _PROTOCOL)
-            for worker in range(size, self.size):
-                conn = self._connections[worker]
-                try:
-                    conn.send_bytes(stop_blob)
-                    TRANSPORT_STATS.record_send("stop", len(stop_blob))
-                    if conn.poll(1.0):
-                        ack = conn.recv_bytes()
-                        TRANSPORT_STATS.record_receive("stop", len(ack))
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-                conn.close()
-            for process in self._processes[size:]:
-                process.join(timeout=5.0)
-                if process.is_alive():  # pragma: no cover - defensive
-                    process.terminate()
-                    process.join(timeout=1.0)
-            self._connections = self._connections[:size]
-            self._processes = self._processes[:size]
-            self._marks = self._marks[:size]
-        elif size > self.size:
-            self._spawn(size - self.size)
-            self._marks = self._marks + [(0, 0)] * (size - self.size)
-        self.size = size
-        # Force a rows-only reseed on the next round: replicas must be
-        # rebuilt on every worker (new ones are empty; survivors redo a
-        # cheap idempotent fold), but the preserved marks mean the seed
-        # segment for survivors carries no symbol they already hold.
-        self._rules = None
-        self._replica_revision = 0
 
     # ------------------------------------------------------------------
     # Messaging
@@ -680,32 +561,6 @@ class WorkerPool:
         segment = self._encoder.segment(term_mark, pred_mark)
         self._marks[worker] = self._encoder.marks()
         return segment
-
-    def _ship(self, command: str, buf: bytes):
-        """Route one payload: an shm ref above the threshold, raw bytes
-        below (or always, with shared memory off).
-
-        Published payloads are accounted under ``command``'s
-        ``shm_bytes``; whatever rides the pickle envelope lands in the
-        pipe counters at send time as before.  The returned object is
-        safe to share across every worker's message — segments are read
-        in place, so fan-out costs nothing.
-        """
-        pool = self._segment_pool
-        if pool is None or len(buf) < pool.threshold:
-            return buf
-        ref = pool.publish(buf)
-        TRANSPORT_STATS.record_shm(command, len(buf))
-        TRANSPORT_STATS.shm_segments = max(
-            TRANSPORT_STATS.shm_segments, pool.segments_created
-        )
-        return ref
-
-    def _collect_segments(self) -> None:
-        """Recycle the broadcast's segments (every reply is gathered, so
-        no live worker can still hold a ref into them)."""
-        if self._segment_pool is not None:
-            self._segment_pool.collect()
 
     def _shared_messages(self, build) -> list[tuple]:
         """One message per worker, shared by equal table marks.
@@ -824,15 +679,11 @@ class WorkerPool:
         atoms_buf = encoder.encode_atoms(atoms)
         if recorder is not None:
             recorder.add_phase("sync", time.perf_counter() - sync_start)
-        atoms_payload = self._ship("seed", atoms_buf)
         messages = self._shared_messages(
-            lambda segment: ("seed", segment, rules, atoms_payload)
+            lambda segment: ("seed", segment, rules, atoms_buf)
         )
         TRANSPORT_STATS.count_atoms_sent("seed", len(atoms) * self.size)
-        try:
-            self._broadcast_and_gather(messages)
-        finally:
-            self._collect_segments()
+        self._broadcast_and_gather(messages)
         self._rules = rules
         self._replica_revision = instance.revision
 
@@ -876,12 +727,6 @@ class WorkerPool:
             encoder.encode_atoms(pivots) if pivots else b""
             for pivots in pivot_lists
         ]
-        # Route the bulk payloads: the sync delta is published once and
-        # the same ref rides every worker's envelope.
-        sync_payload = self._ship("sync", sync_buf) if sync_buf else b""
-        pivot_payloads = [
-            self._ship(mode, buf) if buf else b"" for buf in pivot_bufs
-        ]
         # One shared sync-only message per table mark for pivotless
         # workers: the broadcast pickles each distinct object once.
         sync_cache: dict[tuple[int, int], tuple] = {}
@@ -893,8 +738,8 @@ class WorkerPool:
                     (
                         mode,
                         self._segment(worker),
-                        sync_payload,
-                        pivot_payloads[worker],
+                        sync_buf,
+                        pivot_bufs[worker],
                     )
                 )
                 gathered_workers.append(worker)
@@ -906,7 +751,7 @@ class WorkerPool:
                 key = self._marks[worker]
                 message = sync_cache.get(key)
                 if message is None:
-                    message = ("sync", self._segment(worker), sync_payload)
+                    message = ("sync", self._segment(worker), sync_buf)
                     sync_cache[key] = message
                 else:
                     self._marks[worker] = encoder.marks()
@@ -914,10 +759,7 @@ class WorkerPool:
                 TRANSPORT_STATS.count_atoms_sent("sync", len(sync_atoms))
             else:
                 messages.append(None)
-        try:
-            replies = dict(self._broadcast_and_gather(messages))
-        finally:
-            self._collect_segments()
+        replies = dict(self._broadcast_and_gather(messages))
         # Sync-only workers just acknowledge; keep the shape (non-empty
         # pivot slices only) the scheduler's merge expects.
         results = []
@@ -975,10 +817,6 @@ class WorkerPool:
             encoder.encode_probe_tasks(rules, tasks) if tasks else b""
             for tasks in task_lists
         ]
-        sync_payload = self._ship("sync", sync_buf) if sync_buf else b""
-        task_payloads = [
-            self._ship("probe", buf) if buf else b"" for buf in task_bufs
-        ]
         sync_cache: dict[tuple[int, int], tuple] = {}
         messages: list[tuple | None] = []
         probe_workers: list[int] = []
@@ -988,9 +826,9 @@ class WorkerPool:
                     (
                         "probe",
                         self._segment(worker),
-                        sync_payload,
+                        sync_buf,
                         rules,
-                        task_payloads[worker],
+                        task_bufs[worker],
                     )
                 )
                 probe_workers.append(worker)
@@ -999,7 +837,7 @@ class WorkerPool:
                 key = self._marks[worker]
                 message = sync_cache.get(key)
                 if message is None:
-                    message = ("sync", self._segment(worker), sync_payload)
+                    message = ("sync", self._segment(worker), sync_buf)
                     sync_cache[key] = message
                 else:
                     self._marks[worker] = encoder.marks()
@@ -1007,10 +845,7 @@ class WorkerPool:
                 TRANSPORT_STATS.count_atoms_sent("sync", len(sync_atoms))
             else:
                 messages.append(None)
-        try:
-            replies = dict(self._broadcast_and_gather(messages))
-        finally:
-            self._collect_segments()
+        replies = dict(self._broadcast_and_gather(messages))
         results: list[tuple[int, tuple[Atom, ...], tuple[Atom, ...]]] = []
         for worker in probe_workers:
             decoded = wire.decode_probe_reply(encoder, replies[worker])
@@ -1047,20 +882,13 @@ class WorkerPool:
             encoder.encode_fire_tasks(rules, tasks) if tasks else None
             for tasks in task_lists
         ]
-        task_payloads = [
-            self._ship("fire", buf) if buf is not None else None
-            for buf in task_bufs
-        ]
         messages: list[tuple | None] = [
-            ("fire", self._segment(worker), rules, task_payloads[worker])
-            if task_payloads[worker] is not None
+            ("fire", self._segment(worker), rules, task_bufs[worker])
+            if task_bufs[worker] is not None
             else None
             for worker in range(self.size)
         ]
-        try:
-            replies = self._broadcast_and_gather(messages)
-        finally:
-            self._collect_segments()
+        replies = self._broadcast_and_gather(messages)
         results: list[tuple[int, set[Atom]]] = []
         for _, reply in replies:
             decoded = wire.decode_fire_reply(encoder, reply)

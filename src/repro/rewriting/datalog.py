@@ -40,7 +40,7 @@ from repro.rules.ruleset import RuleSet
 
 
 #: The closure's default: the inline batched derivation of ``"delta"``
-#: (see benchmarks/results/exp13_parallel.txt); pass ``"persistent"`` or
+#: (see benchmarks/results/exp13_closure.txt); pass ``"persistent"`` or
 #: an explicit :class:`EngineConfig` to fan out on multicore machines.
 DEFAULT_CLOSURE_ENGINE = "delta"
 

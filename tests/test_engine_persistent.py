@@ -8,14 +8,14 @@ positions against the sequential ``delta`` engine.
 
 Process pools fork per run, so this file parametrizes over a reduced but
 structurally diverse slice of the corpus workloads; the full workload
-matrix runs the inline multi-shard merge in ``test_engine_parallel.py``.
+matrix runs the scheduler inline in ``test_engine_sharding.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from test_engine_parallel import VARIANTS, WORKLOADS, assert_bit_identical
+from test_engine_sharding import VARIANTS, WORKLOADS, assert_bit_identical
 
 from repro.chase import oblivious_chase, semi_oblivious_chase
 from repro.corpus.generators import path_instance, tournament_instance
@@ -25,6 +25,7 @@ from repro.engine import (
     WorkerPool,
     resolve_engine,
 )
+from repro.engine.core import delta_images
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom, atom
 from repro.logic.instances import Instance
@@ -46,15 +47,12 @@ PROCESS_WORKLOAD_NAMES = (
 PROCESS_WORKLOADS = [w for w in WORKLOADS if w[0] in PROCESS_WORKLOAD_NAMES]
 PROCESS_IDS = [w[0] for w in PROCESS_WORKLOADS]
 
-#: The pool's placements: one shard per worker, more shards than workers
-#: (uneven static placement), and size-balanced adaptive routing.
+#: The pool sizes: two, three and four workers, one shard each (each
+#: size partitions the hash space differently).
 PROCESS_MODES = [
     ("persistent", EngineConfig("persistent", workers=2)),
-    ("persistent_w3_s8", EngineConfig("persistent", workers=3, shards=8)),
-    (
-        "persistent_adaptive",
-        EngineConfig("persistent", workers=2, shards=5, adaptive_routing=True),
-    ),
+    ("persistent_w3", EngineConfig("persistent", workers=3)),
+    ("persistent_w4", EngineConfig("persistent", workers=4)),
 ]
 
 
@@ -78,15 +76,21 @@ class TestPersistentConfig:
         assert config.mode == "persistent"
         assert config.is_persistent
 
-    def test_adaptive_routing_requires_persistent_workers(self):
-        config = EngineConfig("persistent", workers=2, adaptive_routing=True)
-        assert config.adaptive_routing
-        # The inline engines have no shard→worker placement to balance,
-        # so the knob is rejected rather than silently ignored.
-        with pytest.raises(ChaseError, match="adaptive_routing"):
-            EngineConfig("delta", adaptive_routing=True)
-        with pytest.raises(ChaseError, match="adaptive_routing"):
-            EngineConfig("naive", adaptive_routing=True)
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("shards", 8),
+            ("adaptive_routing", True),
+            ("shared_memory", True),
+            ("shm_threshold", 64),
+        ],
+    )
+    def test_retired_transport_knobs_are_rejected(self, knob, value):
+        # The shard count is the worker count and payloads ride the
+        # pipes: a caller still passing a retired knob fails loudly
+        # instead of having it silently ignored.
+        with pytest.raises(TypeError, match=knob):
+            EngineConfig("persistent", workers=2, **{knob: value})
 
 
 # ----------------------------------------------------------------------
@@ -111,16 +115,14 @@ class TestProcessModeEquivalence:
 
 
 class TestPersistentDeterminism:
-    def test_worker_and_shard_counts_do_not_matter(self):
+    def test_worker_counts_do_not_matter(self):
         rules = parse_rules(
             "E(x,y) -> exists z. E(y,z)\nE(x,y), E(y,z) -> F(x,z)"
         )
         make = lambda: tournament_instance(6, seed=1)
         reference = oblivious_chase(make(), rules, max_levels=3)
-        for workers, shards in [(2, 2), (2, 8), (3, 5)]:
-            config = EngineConfig(
-                "persistent", workers=workers, shards=shards
-            )
+        for workers in (2, 3):
+            config = EngineConfig("persistent", workers=workers)
             run = oblivious_chase(make(), rules, max_levels=3, engine=config)
             assert_bit_identical(run, reference)
 
@@ -131,8 +133,8 @@ class TestPersistentDeterminism:
         assert semi_naive_closure(path_instance(12), rules, engine=config) == reference
 
 
-#: A persistent workers=2 closure in a fresh interpreter; prints what the
-#: pool shipped and received.
+#: The EXP-14 closure (a 60-path) on a persistent workers=2 pool in a
+#: fresh interpreter; prints what the pool shipped and received.
 _CLOSURE_TRANSPORT = """
 import json
 from repro.corpus.generators import path_instance
@@ -142,7 +144,7 @@ from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_rules
 
 semi_naive_closure(
-    path_instance(40),
+    path_instance(60),
     parse_rules("E(x,y), E(y,z) -> E(x,z)"),
     engine=EngineConfig("persistent", workers=2),
 )
@@ -176,6 +178,11 @@ class TestRoutingAcrossProcesses:
             runs.append(json.loads(done.stdout.splitlines()[-1]))
         assert runs[0] == runs[1]
         assert runs[0]["commands"]["derive"]["atoms_received"] > 0
+        # The exact wire bytes (the EXP-14 payload, stop handshake
+        # included): a change to what the pool ships fails here, not only
+        # in the benchmark's transport budget.
+        sent, received, _ = runs[0]["totals"]
+        assert (sent, received) == (18809, 18998)
 
 
 class TestWorkerTasks:
@@ -352,6 +359,49 @@ class TestWorkerPool:
                 for image in found
             }
             assert len(images) == 1  # the new E(b,c), E(c,d) match
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_pool_sizes_agree_on_round_images(self, size):
+        # However the round's pivots are spread over the pool, the union
+        # of the workers' images is the inline enumeration of the delta.
+        rules = tuple(parse_rules("E(x,y), E(y,z) -> E(x,z)"))
+        names = [f"v{i}" for i in range(16)]
+        instance = Instance(
+            atom("E", a, b) for a, b in zip(names, names[1:])
+        )
+        delta = instance.sorted_atoms()
+        reference = {
+            image
+            for rule in rules
+            for image in delta_images(rule, instance, instance)
+        }
+        pivots = [delta[worker::size] for worker in range(size)]
+        with WorkerPool(size) as pool:
+            replies = pool.run_round("enumerate", rules, instance, pivots)
+        assert len(replies) == size
+        images = {
+            image
+            for per_rule in replies
+            for found in per_rule
+            for image in found
+        }
+        assert images == reference
+
+    def test_transport_counters_have_no_shared_memory_channel(self):
+        # The pipes are the only channel: neither the totals nor any
+        # command's counters carry a shared-memory figure.
+        rules = tuple(parse_rules("E(x,y), E(y,z) -> F(x,z)"))
+        instance = Instance([atom("E", "a", "b"), atom("E", "b", "c")])
+        TRANSPORT_STATS.reset()
+        with WorkerPool(2) as pool:
+            pool.run_round(
+                "enumerate", rules, instance, [instance.sorted_atoms(), []]
+            )
+        snapshot = TRANSPORT_STATS.snapshot()
+        assert snapshot["bytes_sent"] > 0
+        assert not [key for key in snapshot if key.startswith("shm")]
+        for counters in snapshot["commands"].values():
+            assert not [key for key in counters if key.startswith("shm")]
 
     def test_rule_change_reseeds(self):
         rules_a = tuple(parse_rules("E(x,y) -> F(x,y)"))

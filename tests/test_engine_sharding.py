@@ -1,13 +1,13 @@
 """The engine subsystem: registry, sharding, sharded-merge equivalence.
 
 The sharded scheduler's contract is the strongest the library makes: for
-every chase variant, every corpus workload, and *every* worker/shard
-count, ``engine="persistent"`` must produce a :class:`ChaseResult` that
-is bit-identical to the sequential delta engine — same atoms, levels,
+every chase variant, every corpus workload, and *every* worker count,
+``engine="persistent"`` must produce a :class:`ChaseResult` that is
+bit-identical to the sequential delta engine — same atoms, levels,
 termination flag, timestamps, null names and provenance records.  The
-full workload matrix here runs the multi-shard merge inline
-(``workers=1``, several shards, no processes); the process pool's slice
-of it lives in ``test_engine_persistent.py``.  The suite also pins the
+full workload matrix here runs the scheduler inline (``workers=1``, no
+processes); the process pool's slice of it lives in
+``test_engine_persistent.py``.  The suite also pins the
 registry's error behavior, the sharded index, the batched firing path,
 the Datalog closure engines, and the index-seeded satisfaction fast path
 of the restricted chase.
@@ -50,9 +50,9 @@ from repro.rewriting.datalog import semi_naive_closure
 from repro.rules.parser import parse_instance, parse_rules
 
 
-#: The persistent engine's scheduler at one worker: the delta splits into
-#: three hash shards whose matches merge inline — no processes.
-INLINE_SHARDED = EngineConfig("persistent", workers=1, shards=3)
+#: The persistent engine's scheduler at one worker: its single shard
+#: runs inline through the canonical merge — no processes.
+INLINE_SHARDED = EngineConfig("persistent", workers=1)
 
 
 def assert_bit_identical(a, b):
@@ -160,16 +160,12 @@ class TestRegistry:
                 runner()
 
     def test_explicit_config_passes_through(self):
-        config = EngineConfig("persistent", workers=2, shards=8)
+        config = EngineConfig("persistent", workers=2)
         assert resolve_engine(config) is config
-        assert config.shard_count == 8
-        assert EngineConfig("persistent", workers=3).shard_count == 3
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ChaseError):
             EngineConfig("persistent", workers=0)
-        with pytest.raises(ChaseError):
-            EngineConfig("persistent", shards=-1)
 
     def test_register_engine_roundtrip(self):
         original = resolve_engine("persistent")
@@ -188,7 +184,7 @@ class TestRegistry:
         # A preset under a new name must actually run its mode's engine.
         rules = parse_rules("E(x,y), E(y,z) -> F(x,z)")
         register_engine(
-            EngineConfig("turbo", mode="persistent", workers=1, shards=3)
+            EngineConfig("turbo", mode="persistent", workers=1)
         )
         try:
             reference = oblivious_chase(path_instance(6), rules, max_levels=3)
@@ -229,34 +225,32 @@ class TestShardedIndex:
                 assert index.shard_of(a) == i
 
     def test_duplicates_within_a_batch_count_once(self):
-        from repro.engine.shards import atom_weight
-
         index = ShardedIndex(2)
         a = atom("P", "x0")
         b = atom("P", "x1")
         views = index.ingest([a, b, a])
         assert sum(len(v) for v in views) == 2
         assert len(index) == sum(index.sizes()) == 2
-        assert sum(index.weights()) == atom_weight(a) + atom_weight(b)
 
-    def test_shard_count_validated(self):
+    def test_zero_shards_rejected(self):
         with pytest.raises(ChaseError):
             ShardedIndex(0)
 
-    def test_weight_accounting_tracks_ingests(self):
-        from repro.engine.shards import atom_weight
-
-        index = ShardedIndex(3)
-        atoms = [atom("E", f"x{i}", f"x{i+1}") for i in range(12)]
-        atoms.append(atom("Wide", "a", "b", "c", "d", "e"))
-        index.ingest(atoms)
-        # Per-shard weights sum to the total estimate and mirror the count
-        # distribution.
-        assert sum(index.weights()) == sum(atom_weight(a) for a in atoms)
-        for count, weight in zip(index.sizes(), index.weights()):
-            assert (count == 0) == (weight == 0)
-        # Arity-aware: the wide atom weighs more than a binary one.
-        assert atom_weight(atoms[-1]) > atom_weight(atoms[0])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 8])
+    def test_batches_route_like_one_batch(self, count):
+        # A run's delta arrives round by round: routing it in several
+        # batches puts every atom in the shard one batch would.
+        atoms = [atom("E", f"x{i}", f"x{i+1}") for i in range(24)]
+        atoms += [atom("P", f"x{i}") for i in range(8)]
+        whole = ShardedIndex(count).ingest(atoms)
+        streamed = ShardedIndex(count)
+        batches = [streamed.ingest(atoms[i:i + 5]) for i in range(0, 32, 5)]
+        assert len(whole) == count
+        for shard in range(count):
+            parts = [a for views in batches for a in views[shard]]
+            assert sorted(parts) == sorted(whole[shard])
+        assert streamed.sizes() == tuple(len(view) for view in whole)
+        assert len(streamed) == len(atoms)
 
 
 # ----------------------------------------------------------------------
@@ -278,25 +272,49 @@ class TestShardedEquivalence:
 
 
 class TestSchedulerDeterminism:
-    @pytest.mark.parametrize("shards", [1, 3, 8])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_worker_and_shard_counts_do_not_matter(
-        self, workers, shards, monkeypatch
-    ):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6])
+    def test_worker_counts_do_not_matter(self, workers, monkeypatch):
         rules = parse_rules(
             "E(x,y) -> exists z. E(y,z)\nE(x,y), E(y,z) -> F(x,z)"
         )
         make = lambda: tournament_instance(6, seed=1)
         reference = oblivious_chase(make(), rules, max_levels=3)
         if workers == 1:
-            # One worker merges every shard inline: no process may start.
+            # One worker runs its shard inline: no process may start.
             def no_processes(pool, count):
                 raise AssertionError("workers=1 spawned worker processes")
 
             monkeypatch.setattr(WorkerPool, "_spawn", no_processes)
-        config = EngineConfig("persistent", workers=workers, shards=shards)
+        config = EngineConfig("persistent", workers=workers)
         run = oblivious_chase(make(), rules, max_levels=3, engine=config)
         assert_bit_identical(run, reference)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_shard_i_goes_to_worker_i(self, workers, monkeypatch):
+        # One hash shard per worker: each round hands worker i exactly
+        # the delta atoms of shard i, so the pivot slices partition the
+        # delta by route_hash modulo the pool size.
+        rules = parse_rules("E(x,y), E(y,z) -> F(x,z)")
+        shipped = []
+        run_round = WorkerPool.run_round
+
+        def recording(pool, mode, rules, instance, pivots):
+            shipped.append([list(p) for p in pivots])
+            return run_round(pool, mode, rules, instance, pivots)
+
+        monkeypatch.setattr(WorkerPool, "run_round", recording)
+        reference = oblivious_chase(path_instance(12), rules, max_levels=3)
+        config = EngineConfig("persistent", workers=workers)
+        run = oblivious_chase(
+            path_instance(12), rules, max_levels=3, engine=config
+        )
+        assert_bit_identical(run, reference)
+        assert shipped
+        placement = ShardedIndex(workers)
+        for pivots in shipped:
+            assert len(pivots) == workers
+            for worker, atoms in enumerate(pivots):
+                assert all(placement.shard_of(a) == worker for a in atoms)
 
     def test_repeated_runs_are_identical(self):
         rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
@@ -436,8 +454,8 @@ class TestClosureEngines:
     def test_worker_counts_agree_on_corpus(self):
         rules = parse_rules("E(x,y), E(y,z) -> E(x,z)")
         reference = semi_naive_closure(path_instance(12), rules, engine="delta")
-        for workers, shards in ((1, 1), (1, 4), (2, 0)):
-            config = EngineConfig("persistent", workers=workers, shards=shards)
+        for workers in (1, 2):
+            config = EngineConfig("persistent", workers=workers)
             assert (
                 semi_naive_closure(path_instance(12), rules, engine=config)
                 == reference

@@ -99,7 +99,7 @@ class TestAtomCodec:
         assert _synced_decoder(encoder).decode_atoms(b"") == []
 
     def test_buffer_bytes_equal_atom_weights(self):
-        # The adaptive router's cost model *is* the wire encoding: an
+        # The trace's shard-weight estimate *is* the wire encoding: an
         # already-interned atom costs atom_weight ids to ship — one
         # varint byte each while the tables stay below 128 entries, as
         # here, so the byte length matches the weight exactly.
@@ -360,7 +360,7 @@ class TestPackedShardViews:
         assert [decoder.decode_atoms(buf) for buf in packed] == views
         # Once the symbols are interned (and while ids fit one varint
         # byte, as in this small table), a shard's packed size is exactly
-        # its atom_weight sum — the quantity the adaptive router balances.
+        # its atom_weight sum — the shard weight the trace reports.
         repacked = [encoder.encode_atoms(view) for view in views]
         for buf, view in zip(repacked, views):
             assert len(buf) == sum(atom_weight(a) for a in view)

@@ -175,12 +175,10 @@ class TestRoundRecorder:
 ENGINE_MATRIX = [
     pytest.param("delta", id="delta"),
     pytest.param("naive", id="naive"),
-    pytest.param(
-        EngineConfig("persistent", workers=2, shards=4), id="persistent-w2-s4"
-    ),
-    pytest.param(
-        EngineConfig("persistent", workers=1, shards=3), id="persistent-w1-s3"
-    ),
+    pytest.param(EngineConfig("persistent", workers=2), id="persistent-w2"),
+    pytest.param(EngineConfig("persistent", workers=1), id="persistent-w1"),
+    pytest.param(EngineConfig("persistent", workers=3), id="persistent-w3"),
+    pytest.param(EngineConfig("persistent", workers=4), id="persistent-w4"),
 ]
 
 
@@ -240,11 +238,12 @@ class TestRunTrace:
         assert all(r["delta_atoms"] is None for r in naive_trace.rounds)
 
     def test_persistent_rounds_carry_transport_and_routing(self):
-        _, trace = run_traced(EngineConfig("persistent", workers=2, shards=4))
-        assert trace.meta["shards"] == 4
+        _, trace = run_traced(EngineConfig("persistent", workers=2))
+        # One shard per worker: the header's shard count is the pool size.
+        assert trace.meta["shards"] == 2
         for record in trace.rounds:
             assert record["transport"]["bytes_sent"] > 0
-            assert len(record["shard_weights"]) == 4
+            assert len(record["shard_weights"]) == 2
             for value in record["worker"].values():
                 assert value >= 0.0
         # Worker execute time was actually measured somewhere in the run.
@@ -310,9 +309,7 @@ class TestResultTelemetry:
         assert result.telemetry["schema_version"] == TRACE_SCHEMA_VERSION
 
     def test_persistent_telemetry_includes_worker_seconds(self):
-        result, _ = run_traced(
-            EngineConfig("persistent", workers=2, shards=4)
-        )
+        result, _ = run_traced(EngineConfig("persistent", workers=2))
         transport = result.telemetry["registry"]["transport"]
         assert transport["bytes_sent"] > 0
         worker_seconds = transport["worker_seconds"]

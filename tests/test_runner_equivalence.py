@@ -14,9 +14,9 @@ whose triggers all have existential-free rule heads, the restricted chase
 gates satisfaction against a per-round witness overlay and fires through
 the batched/sharded path — compared here against the always-interleaved
 reference (``delta_satisfaction=False``, the pre-runner behavior) for
-every engine, worker and shard count.
+every engine and worker count.
 
-Registry and sharding internals stay in ``test_engine_parallel.py`` and the
+Registry and sharding internals stay in ``test_engine_sharding.py`` and the
 process-backend internals in ``test_engine_persistent.py``; this file is
 the variant × engine matrix.
 """
@@ -42,7 +42,6 @@ from repro.engine import (
     EngineConfig,
     RoundPlan,
     VariantPolicy,
-    shm_available,
 )
 from repro.errors import ChaseBudgetExceeded
 from repro.logic.terms import FreshSupply
@@ -109,27 +108,16 @@ VARIANTS = [
 VARIANT_IDS = [v[0] for v in VARIANTS]
 
 #: The engine axis: inline engines at their single configuration,
-#: persistent at workers ∈ {1, 3}.  Shards default to the worker count,
-#: except ``persistent_w1_s3``, whose three shards merge inline with no
-#: processes; `test_engine_parallel.py` varies shards further.  The ``_shm``
-#: entry (present only where shared memory works) routes bulk payloads
-#: through segments — all bit-identical by construction.
+#: persistent at workers ∈ {1, 2, 3, 4} (one shard per worker; ``workers=1``
+#: runs inline with no processes) — all bit-identical by construction.
 ENGINES = [
     ("delta", "delta"),
     ("naive", "naive"),
     ("persistent_w1", EngineConfig("persistent", workers=1)),
+    ("persistent_w2", EngineConfig("persistent", workers=2)),
     ("persistent_w3", EngineConfig("persistent", workers=3)),
-    ("persistent_w1_s3", EngineConfig("persistent", workers=1, shards=3)),
+    ("persistent_w4", EngineConfig("persistent", workers=4)),
 ]
-if shm_available():
-    ENGINES.append(
-        (
-            "persistent_w3_shm",
-            EngineConfig(
-                "persistent", workers=3, shared_memory=True, shm_threshold=64
-            ),
-        )
-    )
 ENGINE_IDS = [e[0] for e in ENGINES]
 
 
@@ -202,13 +190,11 @@ class TestDeltaDrivenRestrictedFiring:
         )
         assert_bit_identical(result, reference)
 
-    def test_worker_and_shard_counts_do_not_matter(self):
+    def test_worker_counts_do_not_matter(self):
         make = lambda: tournament_instance(6, seed=2)
         reference = self._interleaved_reference(make, self.TC)
-        for workers, shards in [(1, 1), (2, 5), (3, 3), (3, 8)]:
-            config = EngineConfig(
-                "persistent", workers=workers, shards=shards
-            )
+        for workers in (1, 2, 3):
+            config = EngineConfig("persistent", workers=workers)
             result = restricted_chase(
                 make(), self.TC, max_rounds=8, engine=config
             )
@@ -323,22 +309,14 @@ class TestDeltaDrivenRestrictedFiring:
 
     @pytest.mark.parametrize(
         "config",
-        [
-            EngineConfig("persistent", workers=1, shards=4),
-            EngineConfig("persistent", workers=3, shards=8),
-            EngineConfig("persistent", workers=3, adaptive_routing=True),
-            EngineConfig(
-                "persistent", workers=2, shards=5, adaptive_routing=True
-            ),
-        ],
-        ids=["w1s4_inline", "w3s8", "w3_adaptive", "w2s5_adaptive"],
+        [EngineConfig("persistent", workers=w) for w in (1, 2, 3, 4)],
+        ids=["w1_inline", "w2", "w3", "w4"],
     )
     def test_mixed_budget_stop_matches_reference(self, config):
         # A tight budget stops a *mixed* round mid-way (after real null
         # draws: the path's tail successor trigger is unsatisfied every
         # round): the split path must stop at the same application, with
-        # the same supply position, for every worker/shard/routing
-        # combination.
+        # the same supply position, for every worker count.
         make = lambda: path_instance(8)
         reference_supply = FreshSupply("_r")
         sharded_supply = FreshSupply("_r")
@@ -496,11 +474,6 @@ class TestStatefulClaimBudgetStopMatrix:
         ("delta", "delta"),
         ("persistent_w1", EngineConfig("persistent", workers=1)),
         ("persistent_w3", EngineConfig("persistent", workers=3)),
-        ("persistent_w3_s8", EngineConfig("persistent", workers=3, shards=8)),
-        (
-            "persistent_w3_adaptive",
-            EngineConfig("persistent", workers=3, adaptive_routing=True),
-        ),
     ]
 
     def _run(self, engine, *, strict):

@@ -68,9 +68,9 @@ ENGINES = [
     ("delta", "delta"),
     ("naive", "naive"),
     ("persistent_w1", EngineConfig("persistent", workers=1)),
+    ("persistent_w2", EngineConfig("persistent", workers=2)),
     ("persistent_w3", EngineConfig("persistent", workers=3)),
-    ("persistent_w1_s3", EngineConfig("persistent", workers=1, shards=3)),
-    ("persistent_w2_s5", EngineConfig("persistent", workers=2, shards=5)),
+    ("persistent_w4", EngineConfig("persistent", workers=4)),
 ]
 
 
